@@ -4,8 +4,8 @@ Two promises are enforced:
 
 * **zero-cost when off** — passing an empty (noop) :class:`FaultHook`
   to :func:`repro.simulation.engine.simulate` must stay within 5% of
-  the bookkeeping-free fast path, because the noop hook short-circuits
-  to ``faults=None`` before any bookkeeping is forced;
+  a plain untraced call, because the noop hook short-circuits to
+  ``faults=None`` before any records are asked for;
 * **replanning throughput** — the multi-failure replanner
   (:func:`repro.middleware.recovery.run_campaign_with_faults`) chews
   through a 100-outage trace at a usable rate: every applied event
@@ -30,7 +30,7 @@ from repro.simulation.engine import simulate
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 from repro.core.heuristics import plan_grouping, HeuristicName
 
-#: Relative overhead allowed for the noop-hook path vs the fast path.
+#: Relative overhead allowed for the noop-hook path vs a plain call.
 OVERHEAD_CEILING = 0.05
 
 #: Outage events replayed by the throughput leg.

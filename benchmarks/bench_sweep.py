@@ -3,15 +3,16 @@
 Compares three ways of evaluating a figure-style parameter grid:
 
 * **baseline** — what every figure driver did before the sweep engine
-  existed: serial loop, no kernel cache, the instrumented reference
-  engine path (``simulate(fast=False)``).
+  existed: serial loop, no kernel cache, scalar planning and a plain
+  ``simulate`` call per point.
 * **serial sweep** — :func:`repro.experiments.sweep.run_sweep` with no
-  workers: memoized kernels plus the bookkeeping-free engine fast path.
+  workers: batch planning plus the memoized makespan kernels.
 * **parallel sweep** — the same with ``workers=8``.
 
 The speedup assertion (>= 3x at ``workers=8``) is the subsystem's
-acceptance floor; on a single-core runner it is carried entirely by the
-cache and the fast path, and a multi-core runner only widens it.
+acceptance floor.  It was set while the baseline ran a slower,
+linear-scan engine; with both legs on the same engine only the cache,
+the batch planner and the pool separate them.
 
 Run with::
 
@@ -51,7 +52,7 @@ def _baseline_seconds(grid: SweepGrid) -> float:
                 grouping = plan_grouping(cluster, spec, point.heuristic)
             except SchedulingError:
                 continue
-            simulate(grouping, spec, cluster.timing, fast=False)
+            simulate(grouping, spec, cluster.timing)
         return time.perf_counter() - started
 
 
@@ -71,7 +72,7 @@ def _report(label: str, grid: SweepGrid) -> float:
     serial, rows = _timed_sweep(grid)
     parallel, _ = _timed_sweep(grid, workers=WORKERS)
     print(f"\n{label}: {grid.size} points ({rows} evaluated)")
-    print(f"  baseline (serial, uncached, reference engine): {base:6.2f} s")
+    print(f"  baseline (serial, uncached, scalar planning):  {base:6.2f} s")
     print(
         f"  sweep engine, serial:                          {serial:6.2f} s "
         f"({base / serial:.2f}x)"

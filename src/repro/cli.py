@@ -144,13 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="bypass the memoized makespan kernels (baseline timing)",
     )
     psw.add_argument(
-        "--no-batch", action="store_true",
-        help=(
-            "force the scalar planning oracle instead of the vectorized "
-            "batch kernels (auto-selected when no trace/metrics are needed)"
-        ),
-    )
-    psw.add_argument(
         "--table", action="store_true",
         help="print every evaluated row, not just the summary",
     )
@@ -892,7 +885,6 @@ def _cmd_sweep(args: argparse.Namespace) -> str:
                 resume=not args.no_resume,
                 max_chunks=args.max_chunks,
                 use_cache=not args.no_cache,
-                batch=False if args.no_batch else None,
             )
         extra = finalize_obs(args)
 

@@ -9,16 +9,15 @@ and every completed chunk is appended to an NDJSON journal via the
 resumes exactly where it stopped, and an interrupted-then-resumed sweep
 equals a single uninterrupted one row for row (tested).
 
-Each point runs through the memoized kernels of
-:mod:`repro.core.makespan` and the bookkeeping-free fast path of
-:mod:`repro.simulation.engine`; the heuristic axis iterates innermost so
-the points sharing a ``(cluster, R, NS, NM)`` kernel land in the same
-chunk — and therefore the same worker-process cache.  When no cell
-needs a trace or per-plan metrics (observability disabled), planning
-runs through the vectorized kernels of :mod:`repro.core.batch` instead,
-one array evaluation per ``(cluster, NS, NM, heuristic)`` group per
-chunk — bit-identical rows, same journal, same resume semantics (see
-``run_sweep``'s ``batch`` parameter).
+Each chunk is planned through the vectorized kernels of
+:mod:`repro.core.batch` — one array evaluation per ``(cluster, NS, NM,
+heuristic)`` group per chunk — and each point is simulated through the
+memoized kernels of :mod:`repro.core.makespan` and the single engine of
+:mod:`repro.simulation.engine`.  That is the only path: turning
+observability on adds metrics and spans but never swaps the planner or
+the engine.  The heuristic axis iterates innermost so the points
+sharing a ``(cluster, R, NS, NM)`` kernel land in the same chunk — and
+therefore the same worker-process cache.
 
 Journal format (one envelope per line)::
 
@@ -312,7 +311,12 @@ register_codec("sweep", SweepResult, _sweep_payload, _sweep_restore)
 
 
 def _eval_point(point: SweepPoint) -> SweepRow:
-    """Plan and simulate one grid point through the cached kernels."""
+    """Plan and simulate one grid point through the scalar kernels.
+
+    Sweeps never call this; it is the per-point oracle that the batched
+    chunk evaluation must reproduce row for row (the golden-parity suite
+    asserts this).
+    """
     from repro.platform.benchmarks import benchmark_cluster
 
     cluster = benchmark_cluster(point.cluster, point.resources)
@@ -325,12 +329,14 @@ def _eval_point(point: SweepPoint) -> SweepRow:
     return SweepRow(point, makespan, grouping.describe())
 
 
-def _eval_chunk_batch(chunk: tuple[SweepPoint, ...]) -> tuple[SweepRow, ...]:
-    """Evaluate one chunk with the batch planning kernels.
+def _eval_chunk(
+    chunk: tuple[SweepPoint, ...], use_cache: bool = True
+) -> tuple[SweepRow, ...]:
+    """Evaluate one chunk (the unit shipped to worker processes).
 
     Points are grouped by their shared ``(cluster, NS, NM, heuristic)``
     kernel and planned together over the resource axis via
-    :func:`repro.core.batch.batch_plan_groupings`; simulation still runs
+    :func:`repro.core.batch.batch_plan_groupings`; simulation runs
     through the scalar cached kernel, so every row is bit-identical to
     :func:`_eval_point`'s (the golden-parity suite asserts this).
     """
@@ -343,40 +349,30 @@ def _eval_chunk_batch(chunk: tuple[SweepPoint, ...]) -> tuple[SweepRow, ...]:
         by_kernel.setdefault(key, []).append(position)
 
     rows: list[SweepRow | None] = [None] * len(chunk)
-    for (cluster_name, ns, nm, heuristic), positions in by_kernel.items():
-        timing = benchmark_timing(cluster_name)
-        spec = EnsembleSpec(ns, nm)
-        groupings = batch_plan_groupings(
-            timing, [chunk[p].resources for p in positions], spec, heuristic
-        )
-        for position, grouping in zip(positions, groupings, strict=True):
-            point = chunk[position]
-            if grouping is None:
-                rows[position] = SweepRow(point, None, "")
-            else:
-                makespan = cached_simulated_makespan(grouping, spec, timing)
-                rows[position] = SweepRow(point, makespan, grouping.describe())
-    return tuple(row for row in rows if row is not None)
-
-
-def _eval_chunk(
-    chunk: tuple[SweepPoint, ...], use_cache: bool = True, batch: bool = False
-) -> tuple[SweepRow, ...]:
-    """Evaluate one chunk (the unit shipped to worker processes)."""
     previous = set_makespan_cache_enabled(use_cache)
     try:
-        if batch:
-            return _eval_chunk_batch(chunk)
-        return tuple(_eval_point(point) for point in chunk)
+        for (cluster_name, ns, nm, heuristic), positions in by_kernel.items():
+            timing = benchmark_timing(cluster_name)
+            spec = EnsembleSpec(ns, nm)
+            groupings = batch_plan_groupings(
+                timing, [chunk[p].resources for p in positions], spec, heuristic
+            )
+            for position, grouping in zip(positions, groupings, strict=True):
+                point = chunk[position]
+                if grouping is None:
+                    rows[position] = SweepRow(point, None, "")
+                else:
+                    makespan = cached_simulated_makespan(grouping, spec, timing)
+                    rows[position] = SweepRow(point, makespan, grouping.describe())
     finally:
         set_makespan_cache_enabled(previous)
+    return tuple(row for row in rows if row is not None)
 
 
 def _evaluate(
     chunks: list[tuple[SweepPoint, ...]],
     workers: int | None,
     use_cache: bool,
-    batch: bool,
 ) -> Iterator[tuple[SweepRow, ...]]:
     """Yield chunk results in order, serially or across a process pool.
 
@@ -389,14 +385,14 @@ def _evaluate(
         raise ConfigurationError(f"workers must be >= 0, got {workers!r}")
     if workers in (None, 0, 1) or len(chunks) <= 1:
         for chunk in chunks:
-            yield _eval_chunk(chunk, use_cache, batch)
+            yield _eval_chunk(chunk, use_cache)
         return
     from concurrent.futures import ProcessPoolExecutor
     from functools import partial
 
     with ProcessPoolExecutor(max_workers=workers) as executor:
         yield from executor.map(
-            partial(_eval_chunk, use_cache=use_cache, batch=batch), chunks
+            partial(_eval_chunk, use_cache=use_cache), chunks
         )
 
 
@@ -490,7 +486,6 @@ def run_sweep(
     resume: bool = True,
     max_chunks: int | None = None,
     use_cache: bool = True,
-    batch: bool | None = None,
 ) -> SweepResult:
     """Evaluate a grid, journaling each chunk so the sweep is resumable.
 
@@ -517,19 +512,10 @@ def run_sweep(
         Route evaluation through the memoized kernels of
         :mod:`repro.core.makespan` (on by default; off recomputes every
         point, which the benchmarks use as the baseline).
-    batch:
-        Plan each chunk through the vectorized kernels of
-        :mod:`repro.core.batch` instead of point-by-point scalar calls.
-        ``None`` (the default) auto-selects: batch when observability is
-        disabled (no cell needs a trace or per-plan metrics), scalar
-        otherwise.  ``False`` forces the scalar oracle path; ``True``
-        forces batch even with observability on (rows are identical
-        either way — only the per-plan spans/metrics differ).
 
     Returns the rows evaluated so far — journaled history plus this
     call's work — ordered by grid position.
     """
-    use_batch = (not obs.enabled()) if batch is None else bool(batch)
     points = grid.points()
     journal = Path(journal_path) if journal_path is not None else None
     done: dict[tuple, SweepRow] = {}
@@ -567,7 +553,7 @@ def run_sweep(
         with obs.span(
             "sweep.run", points=grid.size, pending=len(pending), chunks=len(chunks)
         ):
-            for rows in _evaluate(chunks, workers, use_cache, use_batch):
+            for rows in _evaluate(chunks, workers, use_cache):
                 for row in rows:
                     done[row.point.key()] = row
                 evaluated += len(rows)

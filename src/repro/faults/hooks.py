@@ -21,8 +21,9 @@ reports exactly that split, so the middleware replanner can resume each
 scenario from its last completed month.
 
 An empty hook is guaranteed free: :func:`repro.simulation.engine.simulate`
-treats it as ``faults=None`` and keeps its bookkeeping-free fast path,
-so results are bit-for-bit those of the fault-free engine.
+treats it as ``faults=None``, so results are bit-for-bit those of the
+fault-free engine.  A live hook warps the schedule that same engine
+produces with ``record_trace=True`` — there is no separate fault path.
 """
 
 from __future__ import annotations
@@ -425,6 +426,6 @@ def simulate_with_faults(
         return result, _completed_outcome(result)
     base = simulate(
         grouping, spec, timing,
-        cluster_name=cluster_name, record_trace=True, fast=False,
+        cluster_name=cluster_name, record_trace=True,
     )
     return faults.apply(base, keep_records=record_trace)

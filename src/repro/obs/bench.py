@@ -591,7 +591,7 @@ def _bench_kernel() -> float:
 
 
 def _bench_simulate() -> float:
-    """One fast-path cluster simulation (seconds)."""
+    """One untraced cluster simulation (seconds)."""
     from repro.core.heuristics import plan_grouping
     from repro.platform.benchmarks import benchmark_cluster
     from repro.simulation.engine import simulate
@@ -601,7 +601,7 @@ def _bench_simulate() -> float:
     spec = EnsembleSpec(10, 240)
     grouping = plan_grouping(cluster, spec, "knapsack")
     started = time.perf_counter()
-    simulate(grouping, spec, cluster.timing, fast=True)
+    simulate(grouping, spec, cluster.timing)
     return time.perf_counter() - started
 
 
@@ -681,7 +681,7 @@ def _bench_kernels() -> float:
     Plans fig7- and fig8-shaped grids (every heuristic x every
     ``(cluster, R)`` cell at NS=10, NM=12) through
     :func:`repro.core.batch.batch_plan_groupings` — the vectorized
-    Eq 1–5 + knapsack-DP path the sweep auto-selects.  One config is one
+    Eq 1–5 + knapsack-DP path every sweep plans through.  One config is one
     planned ``(cluster, R, heuristic)`` cell.  ``benchmarks/
     bench_kernels.py`` additionally asserts the >=5x ratio over the
     memoized scalar path on the same grids.
@@ -761,7 +761,7 @@ def bench_specs() -> tuple[BenchSpec, ...]:
         ),
         BenchSpec(
             "simulate",
-            "single-cluster fast-path simulation (R=53, NS=10, NM=240)",
+            "single-cluster untraced simulation (R=53, NS=10, NM=240)",
             "seconds",
             "lower",
             _bench_simulate,

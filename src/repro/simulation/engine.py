@@ -20,26 +20,36 @@ Post-task phase
     optimal for equal-length tasks with release dates on identical
     machines, so the simulator never under-reports a heuristic.
 
-Complexity: ``O(NS·NM · (NS + log NS))`` for the main phase and
+Complexity: ``O(NS·NM · log(NS + groups))`` for the main phase (heaps
+of waiting scenarios, free groups and running tasks) and
 ``O(NS·NM · log R)`` for the post phase; a full paper-scale experiment
 (10 × 1800 months) simulates in well under a second.
 
-Two implementations
-    The *reference* path carries per-task records and per-event metrics
-    hooks and scans the waiting set linearly — readable, instrumented,
-    and the arbiter of correctness.  The *fast* path replays the exact
-    same policy with heaps and no bookkeeping; it runs whenever neither
-    traces nor metrics are requested.  Both produce bit-identical
-    makespans (the scheduling decisions, and therefore every float
-    operation on event times, are the same) — the differential-oracle
-    tests pin this, and the ``fast`` argument of :func:`simulate` exists
-    so they can force either path.
+Decision stream
+    There is one engine, and it runs whether or not anyone is watching.
+    When ``record_trace`` is set or :mod:`repro.obs` is enabled, the main
+    loop also appends one ``(start, end, group, scenario)`` tuple per
+    dispatch to a plain list; everything observable is derived from that
+    list after the run.  Task records number each scenario's dispatches
+    to get the month and replay the post list, in ``(ready, scenario,
+    month)`` order, on a ``(available_from, proc_id)`` heap to get
+    processor ids; the metrics read task counts per group off the same
+    list.  Observability only decides whether the list is built — never
+    which loop runs.
+
+    The makespan always comes from the float-only post loop.  Processor
+    identity never changes timing, and carrying ``(time, proc)`` tuples
+    through the hot loop made an NS=10, NM=1800 simulation 45–60% slower
+    (2-vCPU VM), so proc ids are reconstructed only when records are
+    asked for.  The original
+    linear-scan loops live on in ``tests/simulation/reference_engine.py``
+    as the differential oracle: the property suite pins makespans and
+    the full records tuple bit for bit against them.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro import obs
@@ -56,13 +66,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["simulate", "simulate_on_cluster"]
 
-
-@dataclass
-class _EngineStats:
-    """Per-run accounting collected only while observability is enabled."""
-
-    events: int = 0
-    tasks_per_group: list[int] = field(default_factory=list)
+#: One main dispatch: ``(start, end, group, scenario)``.
+_Dispatch = tuple[float, float, int, int]
 
 
 def simulate(
@@ -73,7 +78,6 @@ def simulate(
     cluster_name: str = "cluster",
     record_trace: bool = False,
     enforce_cardinality: bool = True,
-    fast: bool | None = None,
     faults: "FaultHook | None" = None,
 ) -> SimulationResult:
     """Simulate one ensemble on one cluster under a fixed grouping.
@@ -92,31 +96,17 @@ def simulate(
     enforce_cardinality:
         Reject groupings with more groups than scenarios (the paper's
         rule).  Disable only for deliberately degenerate test inputs.
-    fast:
-        ``None`` (default) picks automatically: the bookkeeping-free
-        fast path when neither traces nor metrics are requested, the
-        instrumented reference path otherwise.  ``True``/``False``
-        force one implementation — forcing ``True`` is incompatible
-        with ``record_trace`` and skips metrics; forcing ``False``
-        exists for differential testing and baseline benchmarks.
     faults:
         A compiled :class:`~repro.faults.hooks.FaultHook` for this
-        cluster.  A no-op hook (or ``None``) leaves every path —
-        including fast-path auto-selection — untouched, so fault-free
-        results stay bit-for-bit identical.  A live hook forces the
-        traced reference path internally and returns the warped,
-        crash-truncated schedule; use
+        cluster.  A no-op hook (or ``None``) is ignored, so fault-free
+        results stay bit-for-bit identical.  A live hook simulates the
+        fault-free schedule with records and returns it warped and
+        crash-truncated; use
         :func:`repro.faults.hooks.simulate_with_faults` when the
         checkpoint-level :class:`~repro.faults.hooks.FaultOutcome` is
         needed too.
     """
-    if faults is not None and faults.is_noop:
-        faults = None
-    if faults is not None:
-        if fast:
-            raise SimulationError(
-                "fast=True cannot inject faults; use fast=False or fast=None"
-            )
+    if faults is not None and not faults.is_noop:
         base = simulate(
             grouping,
             spec,
@@ -124,7 +114,6 @@ def simulate(
             cluster_name=cluster_name,
             record_trace=True,
             enforce_cardinality=enforce_cardinality,
-            fast=False,
         )
         warped, _outcome = faults.apply(base, keep_records=record_trace)
         return warped
@@ -137,49 +126,22 @@ def simulate(
     group_times = [timing.main_time(g) for g in grouping.group_sizes]
     tp = timing.post_time()
 
-    stats = _EngineStats() if obs.enabled() else None
-    use_fast = (not record_trace and stats is None) if fast is None else fast
-    if use_fast:
-        if record_trace:
-            raise SimulationError(
-                "fast=True cannot record traces; use fast=False or fast=None"
-            )
-        ready_times, group_last_end = _run_main_phase_fast(spec, group_times)
-        main_makespan = ready_times[-1] if ready_times else 0.0
-        post_makespan = _run_post_phase_fast(
-            grouping, ready_times, group_last_end, tp
-        )
-        return SimulationResult(
-            makespan=max(main_makespan, post_makespan),
-            main_makespan=main_makespan,
-            grouping=grouping,
-            spec=spec,
-            cluster_name=cluster_name,
-            records=(),
-        )
-
-    ranges = proc_ranges(grouping)
-    if stats is not None:
-        stats.tasks_per_group = [0] * len(group_times)
-
-    main_records, post_ready, group_last_end = _run_main_phase(
-        spec, group_times, ranges, record_trace, stats
-    )
-    main_makespan = max((end for _, _, _, end in post_ready), default=0.0)
-
-    post_records, post_makespan = _run_post_phase(
-        grouping, post_ready, group_last_end, ranges, tp, record_trace
-    )
-
+    observed = obs.enabled()
+    stream: list[_Dispatch] | None = [] if record_trace or observed else None
+    ready_times, group_last_end = _run_main_phase(spec, group_times, stream)
+    main_makespan = ready_times[-1] if ready_times else 0.0
+    post_makespan = _run_post_phase(grouping, ready_times, group_last_end, tp)
     makespan = max(main_makespan, post_makespan)
+
     records: tuple[TaskRecord, ...] = ()
-    if record_trace:
-        records = tuple(main_records + post_records)
-    if stats is not None:
-        _publish_stats(
-            stats, cluster_name, spec, group_times, group_last_end,
-            makespan, main_makespan, len(post_ready),
-        )
+    if stream is not None:
+        if record_trace:
+            records = _records(grouping, spec, stream, group_last_end, tp)
+        if observed:
+            _publish_stats(
+                stream, cluster_name, group_times, group_last_end,
+                makespan, main_makespan,
+            )
     return SimulationResult(
         makespan=makespan,
         main_makespan=main_makespan,
@@ -212,48 +174,88 @@ def simulate_on_cluster(
     )
 
 
-def _publish_stats(
-    stats: _EngineStats,
-    cluster_name: str,
+def _records(
+    grouping: Grouping,
     spec: EnsembleSpec,
+    stream: list[_Dispatch],
+    group_last_end: list[float],
+    tp: float,
+) -> tuple[TaskRecord, ...]:
+    """Rebuild the schedule's task records from the decision stream.
+
+    Main records follow dispatch order; a scenario's months are its
+    dispatches counted in order, because a scenario is only dispatched
+    once its previous month has finished.  Post records replay the ready
+    list in ``(ready, scenario, month)`` order on a ``(available_from,
+    proc_id)`` heap — the float-only post loop makes the same pops, so
+    start and end times match the makespan it reported.
+    """
+    ranges = proc_ranges(grouping)
+    months = [0] * spec.scenarios
+    main: list[TaskRecord] = []
+    ready: list[tuple[float, int, int]] = []
+    for start, end, group, scenario in stream:
+        month = months[scenario]
+        months[scenario] = month + 1
+        rng = ranges[group]
+        main.append(
+            TaskRecord("main", scenario, month, start, end, group, rng.start, rng.stop)
+        )
+        ready.append((end, scenario, month))
+    ready.sort()
+
+    pool = [(0.0, proc) for proc in post_pool_range(grouping)]
+    for group, rng in enumerate(ranges):
+        pool.extend((group_last_end[group], proc) for proc in rng)
+    heapq.heapify(pool)
+    posts: list[TaskRecord] = []
+    for ready_at, scenario, month in ready:
+        free_at, proc = heapq.heappop(pool)
+        start = max(free_at, ready_at)
+        end = start + tp
+        heapq.heappush(pool, (end, proc))
+        posts.append(TaskRecord("post", scenario, month, start, end, -1, proc, proc + 1))
+    return tuple(main + posts)
+
+
+def _publish_stats(
+    stream: list[_Dispatch],
+    cluster_name: str,
     group_times: list[float],
     group_last_end: list[float],
     makespan: float,
     main_makespan: float,
-    n_posts: int,
 ) -> None:
     """Flush one run's accounting to the global metrics registry.
 
+    Every dispatch is one completion event and releases one post task.
     *Waves* is the deepest group's task count — how many times the
     busiest group turned around; *idle seconds* is the main phase's
-    processor-level slack: for each group, the gap between its last
-    task's end and the time it spent computing, weighted by nothing
-    (group-level, matching the paper's per-group reasoning).
+    group-level slack: for each group, the gap between its last task's
+    end and the time it spent computing (matching the paper's per-group
+    reasoning).
     """
+    tasks_per_group = [0] * len(group_times)
+    for _start, _end, group, _scenario in stream:
+        tasks_per_group[group] += 1
     obs.inc("simulation.runs", cluster=cluster_name)
-    obs.inc(
-        "simulation.tasks",
-        spec.scenarios * spec.months,
-        cluster=cluster_name,
-        kind="main",
-    )
-    obs.inc("simulation.tasks", n_posts, cluster=cluster_name, kind="post")
-    obs.inc("engine.events_dispatched", stats.events, cluster=cluster_name)
+    obs.inc("simulation.tasks", len(stream), cluster=cluster_name, kind="main")
+    obs.inc("simulation.tasks", len(stream), cluster=cluster_name, kind="post")
+    obs.inc("engine.events_dispatched", len(stream), cluster=cluster_name)
     obs.set_gauge(
         "simulation.makespan_seconds", makespan, cluster=cluster_name
     )
     obs.set_gauge(
         "simulation.main_makespan_seconds", main_makespan, cluster=cluster_name
     )
-    if stats.tasks_per_group:
+    if tasks_per_group:
         obs.set_gauge(
-            "engine.waves", max(stats.tasks_per_group), cluster=cluster_name
+            "engine.waves", max(tasks_per_group), cluster=cluster_name
         )
         idle = sum(
             last_end - tasks * gt
             for last_end, tasks, gt in zip(
-                group_last_end, stats.tasks_per_group, group_times,
-                strict=True,
+                group_last_end, tasks_per_group, group_times, strict=True
             )
         )
         obs.set_gauge(
@@ -264,148 +266,18 @@ def _publish_stats(
 def _run_main_phase(
     spec: EnsembleSpec,
     group_times: list[float],
-    ranges: list[range],
-    record_trace: bool,
-    stats: _EngineStats | None = None,
-) -> tuple[list[TaskRecord], list[tuple[float, int, int, float]], list[float]]:
-    """Schedule every main task; return (records, post-ready list, last ends).
-
-    ``post_ready`` entries are ``(ready_time, scenario, month, main_end)``
-    tuples emitted in completion order (``ready_time == main_end``; the
-    duplication keeps the post phase free of record lookups).
-    """
-    ns, nm = spec.scenarios, spec.months
-    n_groups = len(group_times)
-
-    months_done = [0] * ns
-    wait_since = [0.0] * ns
-    waiting: set[int] = set(range(ns))
-    unstarted = ns * nm
-
-    # (finish_time, group_index, scenario)
-    running: list[tuple[float, int, int]] = []
-    idle_groups: list[int] = list(range(n_groups))
-    group_last_end = [0.0] * n_groups
-
-    records: list[TaskRecord] = []
-    post_ready: list[tuple[float, int, int, float]] = []
-
-    def match(now: float, free: list[int]) -> None:
-        """Assign waiting scenarios to free groups; leftovers go idle."""
-        nonlocal unstarted
-        free = sorted(free, key=lambda g: (group_times[g], g))
-        while free and waiting and unstarted > 0:
-            scenario = min(
-                waiting, key=lambda s: (months_done[s], wait_since[s], s)
-            )
-            group = free.pop(0)
-            month = months_done[scenario]
-            end = now + group_times[group]
-            heapq.heappush(running, (end, group, scenario))
-            waiting.remove(scenario)
-            unstarted -= 1
-            if stats is not None:
-                stats.tasks_per_group[group] += 1
-            if record_trace:
-                records.append(
-                    TaskRecord(
-                        "main",
-                        scenario,
-                        month,
-                        now,
-                        end,
-                        group,
-                        ranges[group].start,
-                        ranges[group].stop,
-                    )
-                )
-        idle_groups.extend(free)
-
-    # Kick-off: all groups free, all scenarios waiting, time 0.
-    initial, idle_groups = idle_groups, []
-    match(0.0, initial)
-
-    while running:
-        now, group, scenario = heapq.heappop(running)
-        if stats is not None:
-            stats.events += 1
-        month = months_done[scenario]
-        months_done[scenario] += 1
-        group_last_end[group] = now
-        post_ready.append((now, scenario, month, now))
-        if months_done[scenario] < nm:
-            waiting.add(scenario)
-            wait_since[scenario] = now
-        free, idle_groups[:] = [*idle_groups, group], []
-        match(now, free)
-
-    if unstarted != 0 or waiting:
-        raise SimulationError(
-            f"main phase ended with {unstarted} unstarted tasks and "
-            f"{len(waiting)} waiting scenarios — engine invariant broken"
-        )
-    return records, post_ready, group_last_end
-
-
-def _run_post_phase(
-    grouping: Grouping,
-    post_ready: list[tuple[float, int, int, float]],
-    group_last_end: list[float],
-    ranges: list[range],
-    tp: float,
-    record_trace: bool,
-) -> tuple[list[TaskRecord], float]:
-    """Schedule every post task; return (records, post-phase makespan)."""
-    # Processor pool: (available_from, proc_id).
-    pool: list[tuple[float, int]] = []
-    for proc in post_pool_range(grouping):
-        pool.append((0.0, proc))
-    for group, rng in enumerate(ranges):
-        for proc in rng:
-            pool.append((group_last_end[group], proc))
-    heapq.heapify(pool)
-
-    if not pool:
-        if post_ready:
-            raise SimulationError(
-                "no processor ever becomes available for post-processing "
-                "tasks — grouping has no post pool and no groups?"
-            )
-        return [], 0.0
-
-    records: list[TaskRecord] = []
-    makespan = 0.0
-    # Ready order with deterministic tie-breaks (time, scenario, month).
-    for ready, scenario, month, _main_end in sorted(
-        post_ready, key=lambda e: (e[0], e[1], e[2])
-    ):
-        free_at, proc = heapq.heappop(pool)
-        start = max(free_at, ready)
-        end = start + tp
-        heapq.heappush(pool, (end, proc))
-        if end > makespan:
-            makespan = end
-        if record_trace:
-            records.append(
-                TaskRecord("post", scenario, month, start, end, -1, proc, proc + 1)
-            )
-    return records, makespan
-
-
-def _run_main_phase_fast(
-    spec: EnsembleSpec, group_times: list[float]
+    stream: list[_Dispatch] | None,
 ) -> tuple[list[float], list[float]]:
-    """The main phase without records or metrics; heaps replace scans.
+    """Schedule every main task; return ``(ready_times, group_last_end)``.
 
-    Replays :func:`_run_main_phase` decision-for-decision: the waiting
-    set becomes a heap of ``(months_done, wait_since, scenario)`` (keys
-    are frozen while a scenario waits, so entries never go stale) and
-    the free-group sort becomes a heap of ``(T[g], g)``.  Identical
-    choices mean identical float arithmetic on event times, so the
-    returned ready times and group last-ends are bit-for-bit those of
-    the reference path.  Returns ``(ready_times, group_last_end)`` with
-    ready times in completion order — nondecreasing, so the last entry
-    is the main-phase makespan and the post phase needs no sort.
+    The waiting set is a heap of ``(months_done, wait_since, scenario)``
+    (keys are frozen while a scenario waits, so entries never go stale)
+    and the free groups a heap of ``(T[g], g)``: each completion event
+    pairs the least advanced waiting scenario with the fastest free
+    group until one side runs out.  Ready times come back in completion
+    order — nondecreasing, so the last entry is the main-phase makespan
+    and the post phase needs no sort.  When ``stream`` is a list, every
+    dispatch is appended to it as ``(start, end, group, scenario)``.
     """
     ns, nm = spec.scenarios, spec.months
     months_done = [0] * ns
@@ -426,7 +298,10 @@ def _run_main_phase_fast(
         while idle and waiting and unstarted > 0:
             gt, group = pop(idle)
             _, _, scenario = pop(waiting)
-            push(running, (now + gt, group, scenario))
+            end = now + gt
+            push(running, (end, group, scenario))
+            if stream is not None:
+                stream.append((now, end, group, scenario))
             unstarted -= 1
         if not running:
             break
@@ -447,7 +322,7 @@ def _run_main_phase_fast(
     return ready_times, group_last_end
 
 
-def _run_post_phase_fast(
+def _run_post_phase(
     grouping: Grouping,
     ready_times: list[float],
     group_last_end: list[float],
@@ -460,7 +335,7 @@ def _run_post_phase_fast(
     ready list arrives sorted (main-phase completion order), and posts of
     equal ready time are interchangeable: whatever order they claim the
     two earliest processors in, the resulting pool and end-time multisets
-    are identical, hence the same makespan as the reference path.
+    are identical, hence the same makespan as the proc-id replay.
     """
     pool: list[float] = [0.0] * grouping.post_pool
     for group, size in enumerate(grouping.group_sizes):

@@ -5,15 +5,17 @@ batch kernels equal the scalar ones on randomized instances; this file
 closes the loop against the *committed* regression fixtures: the
 fig7/fig8/fig10 goldens pinned by ``tests/data/regenerate_golden.py``
 must fall out of the batch path bit for bit, the batched sweep must
-reproduce the scalar sweep row for row (including across an interrupted
-journal), and an arena race scored through the batch gain kernel must
-produce the same standings as a scalar recomputation.
+reproduce the per-point scalar oracle row for row (including across an
+interrupted journal, and with metrics on), and an arena race scored
+through the batch gain kernel must produce the same standings as a
+scalar recomputation.
 """
 
 from __future__ import annotations
 
 import json
 
+from repro import obs
 from repro.analysis.gains import gains_over_baseline
 from repro.core.batch import (
     PerformanceVectorBuilder,
@@ -24,6 +26,7 @@ from repro.core.batch import (
 from repro.core.heuristics import HeuristicName
 from repro.core.repartition import repartition_dags
 from repro.experiments.runner import cycle_names, resource_sweep
+from repro.experiments import sweep
 from repro.experiments.sweep import SweepGrid, run_sweep
 from repro.platform.benchmarks import (
     REFERENCE_CLUSTER_SPEEDS,
@@ -155,11 +158,11 @@ def test_fig10_golden_via_incremental_builders() -> None:
 
 
 def test_batched_sweep_matches_scalar_rows(tmp_path) -> None:
-    """fig8-shaped grid: forced batch == forced scalar == auto, row for row.
+    """fig8-shaped grid: the batched sweep == the per-point scalar oracle.
 
-    Also crosses the journal boundary in mixed modes: a batched run
-    interrupted after one chunk and *resumed with the scalar oracle*
-    must equal the uninterrupted runs — resume semantics are mode-blind.
+    Also crosses the journal boundary — a run interrupted after one
+    chunk and resumed must equal the oracle rows too — and runs once
+    with metrics on, which must still plan in batch and change no row.
     """
     grid = SweepGrid.from_ranges(
         clusters=tuple(sorted(REFERENCE_CLUSTER_SPEEDS)),
@@ -169,17 +172,21 @@ def test_batched_sweep_matches_scalar_rows(tmp_path) -> None:
         scenarios=(10,),
         months=(12,),
     )
-    scalar = run_sweep(grid, batch=False)
-    batched = run_sweep(grid, batch=True)
-    auto = run_sweep(grid)
-    assert batched.rows == scalar.rows
-    assert auto.rows == scalar.rows
+    scalar = tuple(map(sweep._eval_point, grid.points()))
+    assert run_sweep(grid).rows == scalar
 
     journal = tmp_path / "sweep.ndjson"
-    partial = run_sweep(grid, batch=True, journal_path=journal, max_chunks=1)
-    assert len(partial.rows) < len(scalar.rows)
-    resumed = run_sweep(grid, batch=False, journal_path=journal)
-    assert resumed.rows == scalar.rows
+    partial = run_sweep(grid, journal_path=journal, max_chunks=1)
+    assert len(partial.rows) < len(scalar)
+    resumed = run_sweep(grid, journal_path=journal)
+    assert resumed.rows == scalar
+
+    with obs.session() as (registry, _tracer):
+        observed = run_sweep(grid)
+        counters = registry.as_dict()["counters"]
+    assert observed.rows == scalar
+    assert sum(entry["value"] for entry in counters["batch.plans"]) == grid.size
+    assert "heuristic.plans" not in counters
 
 
 def test_batched_arena_reproduces_fig8_standings(tmp_path) -> None:

@@ -98,14 +98,6 @@ class TestEngineIntegration:
         assert hooked.main_makespan == plain.main_makespan
         assert hooked.records == plain.records
 
-    def test_fast_path_rejects_live_hooks(self) -> None:
-        hook = FaultHook.from_events([_outage(10.0, 5.0)])
-        with pytest.raises(SimulationError):
-            simulate(
-                Grouping((4,), 0, 4), EnsembleSpec(1, 2), _flat(),
-                faults=hook, fast=True,
-            )
-
     def test_outage_delays_the_makespan_exactly(self) -> None:
         timing = _flat()
         grouping = Grouping((4,), 0, 4)

@@ -4,8 +4,10 @@ Three independent implementations of the same quantity cross-check each
 other here:
 
 * the analytic formulas of :mod:`repro.core.makespan` (Eqs 1–5),
-* the event-driven reference path of :mod:`repro.simulation.engine`,
-* the engine's bookkeeping-free fast path and the memoized kernels.
+* the heap engine of :mod:`repro.simulation.engine` and the memoized
+  kernels,
+* the linear-scan reference loops of
+  :mod:`tests.simulation.reference_engine`.
 
 The analytic formulas are *estimates* of the simulated schedule, so the
 oracle asserts the exact structural relations rather than blanket
@@ -14,17 +16,21 @@ paper's [4, 11] range, the eq2 case (``R2 = 0``, ``nbused = 0``) agrees
 on the *total* makespan, and in every one of the four cases the
 simulator never exceeds the analytic value (the formulas over-provision
 trailing posts; the simulator places them optimally).  The memoized
-kernels and the fast path, by contrast, are exact reimplementations —
-those must match bit-for-bit, with the cache both enabled and disabled.
+kernels and the reference loops, by contrast, are exact
+reimplementations — those must match bit-for-bit (makespans and every
+task record), with the cache both enabled and disabled.
 
 Analytic-vs-simulator tests draw *dyadic* task times (quarters of a
 second) so repeated float addition inside the simulator is exact and
-``waves × TG`` style products compare without tolerance.  The fast-path
-tests draw unrestricted floats — identical scheduling decisions imply
-identical float operations, so equality must survive arbitrary rounding.
+``waves × TG`` style products compare without tolerance.  The engine
+vs reference tests draw unrestricted floats — identical scheduling
+decisions imply identical float operations, so equality must survive
+arbitrary rounding.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +51,7 @@ from repro.exceptions import SchedulingError
 from repro.platform.timing import TableTimingModel
 from repro.simulation.engine import simulate
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.simulation.reference_engine import reference_simulate
 
 GROUP_SIZES = range(4, 12)
 
@@ -74,7 +81,11 @@ def oracle_instances(draw):
 
 @st.composite
 def engine_instances(draw):
-    """(grouping, spec, timing) with unrestricted floats and shapes."""
+    """(grouping, spec, timing, enforce_cardinality) with unrestricted floats.
+
+    One draw in four lets the grouping have more groups than scenarios
+    (``enforce_cardinality=False``), so some groups sit idle at times.
+    """
     base = draw(st.floats(min_value=200.0, max_value=3000.0))
     decrements = draw(
         st.lists(st.floats(min_value=0.0, max_value=200.0), min_size=8, max_size=8)
@@ -89,7 +100,9 @@ def engine_instances(draw):
     )
     scenarios = draw(st.integers(min_value=1, max_value=8))
     months = draw(st.integers(min_value=1, max_value=10))
-    n_groups = draw(st.integers(min_value=1, max_value=scenarios))
+    enforce_cardinality = draw(st.integers(0, 3)) > 0
+    max_groups = scenarios if enforce_cardinality else scenarios + 4
+    n_groups = draw(st.integers(min_value=1, max_value=max_groups))
     sizes = draw(
         st.lists(
             st.integers(min_value=4, max_value=11),
@@ -101,7 +114,7 @@ def engine_instances(draw):
     grouping = Grouping.from_sizes(
         sizes, sum(sizes) + post_pool, post_pool=post_pool
     )
-    return grouping, EnsembleSpec(scenarios, months), timing
+    return grouping, EnsembleSpec(scenarios, months), timing, enforce_cardinality
 
 
 def _basic_grouping(g: int, resources: int, scenarios: int) -> Grouping:
@@ -225,44 +238,89 @@ def test_memoized_kernels_match_uncached_bit_for_bit(
 
 
 @given(engine_instances())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_fast_path_matches_reference_bit_for_bit(instance) -> None:
-    """Forced fast, forced reference, and auto all agree to the last bit."""
-    grouping, spec, timing = instance
-    reference = simulate(grouping, spec, timing, fast=False)
-    fast = simulate(grouping, spec, timing, fast=True)
-    auto = simulate(grouping, spec, timing)
-    assert fast.makespan == reference.makespan
-    assert fast.main_makespan == reference.main_makespan
-    assert auto.makespan == reference.makespan
-    assert auto.main_makespan == reference.main_makespan
+    """The engine's traced run equals the reference loops to the last bit.
 
-
-def test_fast_path_matches_instrumented_reference() -> None:
-    """With metrics live the engine takes the reference path — same result."""
-    timing = TableTimingModel(
-        {g: 1500.0 - 90.0 * (g - 4) for g in GROUP_SIZES}, post_seconds=180.0
+    Makespans, main makespans and the full records tuple — every start,
+    end, month and processor range — and the untraced run's makespans.
+    """
+    grouping, spec, timing, enforce = instance
+    reference = reference_simulate(
+        grouping, spec, timing, enforce_cardinality=enforce
     )
-    spec = EnsembleSpec(7, 9)
-    grouping = Grouping.from_sizes([5, 5, 8], 21, post_pool=3)
-    fast = simulate(grouping, spec, timing)
+    traced = simulate(
+        grouping, spec, timing, record_trace=True, enforce_cardinality=enforce
+    )
+    plain = simulate(grouping, spec, timing, enforce_cardinality=enforce)
+    assert traced.makespan == reference.makespan
+    assert traced.main_makespan == reference.main_makespan
+    assert traced.records == reference.records
+    assert plain.makespan == reference.makespan
+    assert plain.main_makespan == reference.main_makespan
+
+
+def _records_digest(records) -> str:
+    text = repr([
+        (r.kind, r.scenario, r.month, r.start.hex(), r.end.hex(), r.group,
+         r.procs_start, r.procs_stop)
+        for r in records
+    ])
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@given(engine_instances())
+@settings(max_examples=40, deadline=None)
+def test_fast_path_matches_instrumented_reference(instance) -> None:
+    """Metrics on or off, the engine produces the same schedule."""
+    grouping, spec, timing, enforce = instance
+    quiet = simulate(
+        grouping, spec, timing, record_trace=True, enforce_cardinality=enforce
+    )
     with obs.session():
-        instrumented = simulate(grouping, spec, timing)
-    assert instrumented.makespan == fast.makespan
-    assert instrumented.main_makespan == fast.main_makespan
-
-
-def test_record_trace_incompatible_with_forced_fast() -> None:
-    from repro.exceptions import SimulationError
-
-    timing = TableTimingModel(
-        {g: 1000.0 for g in GROUP_SIZES}, post_seconds=100.0
-    )
-    grouping = Grouping.uniform(4, 2, 8)
-    with pytest.raises(SimulationError):
-        simulate(
-            grouping, EnsembleSpec(2, 2), timing, record_trace=True, fast=True
+        observed = simulate(
+            grouping, spec, timing, record_trace=True, enforce_cardinality=enforce
         )
+        observed_plain = simulate(grouping, spec, timing, enforce_cardinality=enforce)
+    assert observed.makespan == quiet.makespan
+    assert observed.main_makespan == quiet.main_makespan
+    assert observed_plain.makespan == quiet.makespan
+    assert _records_digest(observed.records) == _records_digest(quiet.records)
+
+
+@given(engine_instances())
+@settings(max_examples=40, deadline=None)
+def test_engine_metrics_match_reference_records(instance) -> None:
+    """The engine's metrics equal the values the oracle's records imply."""
+    grouping, spec, timing, enforce = instance
+    reference = reference_simulate(
+        grouping, spec, timing, enforce_cardinality=enforce
+    )
+    mains = [r for r in reference.records if r.kind == "main"]
+    posts = [r for r in reference.records if r.kind == "post"]
+    per_group = [[r for r in mains if r.group == g] for g in range(grouping.n_groups)]
+    idle = sum(
+        max((r.end for r in tasks), default=0.0)
+        - len(tasks) * timing.main_time(size)
+        for tasks, size in zip(per_group, grouping.group_sizes, strict=True)
+    )
+    with obs.session() as (registry, _tracer):
+        simulate(grouping, spec, timing, enforce_cardinality=enforce)
+        dump = registry.as_dict()
+
+    def value(section: str, name: str, **labels: str) -> float:
+        (entry,) = [
+            e for e in dump[section][name]
+            if all(e["labels"].get(k) == v for k, v in labels.items())
+        ]
+        return entry["value"]
+
+    assert value("gauges", "engine.waves") == max(len(t) for t in per_group)
+    assert value("gauges", "engine.idle_seconds") == idle
+    assert value("counters", "engine.events_dispatched") == len(mains)
+    assert value("counters", "simulation.tasks", kind="main") == len(mains)
+    assert value("counters", "simulation.tasks", kind="post") == len(posts)
+    assert value("gauges", "simulation.makespan_seconds") == reference.makespan
 
 
 def test_cache_counters_and_metrics_export() -> None:
