@@ -20,15 +20,32 @@ Post-task phase
     optimal for equal-length tasks with release dates on identical
     machines, so the simulator never under-reports a heuristic.
 
-Complexity: ``O(NS·NM · log(NS + groups))`` for the main phase (heaps
-of waiting scenarios, free groups and running tasks) and
-``O(NS·NM · log R)`` for the post phase; a full paper-scale experiment
-(10 × 1800 months) simulates in well under a second.
+How it runs
+    The main phase is one heap loop (:func:`_replay`: heaps of waiting
+    scenarios, free groups and running tasks), preceded, when there are
+    no more groups than scenarios, by a no-idle fast-forward
+    (:func:`_fast_forward`).  Until the first scenario finishes, every
+    freed group is dispatched again at once, so group ``g``'s completions
+    are the sequential running sums of ``T[g]``; ``np.cumsum`` adds
+    float64 in the same order as ``now + gt`` and so reproduces them bit
+    for bit, and a stable sort of those sums yields the heap loop's
+    ``(end, group)`` pop order.  Only the scenario choice — one
+    ``heappushpop`` per completion — stays sequential.  The heap loop
+    then replays the tail from the reconstructed state, or the whole
+    phase when groups outnumber scenarios or ``NS·NM`` is below the
+    measured crossover where numpy set-up costs more than it saves.
+
+    The post phase is a heap-free two-pointer merge of the sorted initial
+    processor pool and a FIFO of post ends.  Ready times arrive sorted
+    and each post takes the pool's minimum free time, so post ends never
+    decrease and the FIFO needs no heap.  Both rewrites make the same
+    float operations on the same operands as a plain heap replay;
+    ``docs/PERFORMANCE.md`` has the measurements.
 
 Decision stream
     There is one engine, and it runs whether or not anyone is watching.
     When ``record_trace`` is set or :mod:`repro.obs` is enabled, the main
-    loop also appends one ``(start, end, group, scenario)`` tuple per
+    phase also appends one ``(start, end, group, scenario)`` tuple per
     dispatch to a plain list; everything observable is derived from that
     list after the run.  Task records number each scenario's dispatches
     to get the month and replay the post list, in ``(ready, scenario,
@@ -37,7 +54,7 @@ Decision stream
     list.  Observability only decides whether the list is built — never
     which loop runs.
 
-    The makespan always comes from the float-only post loop.  Processor
+    The makespan always comes from the float-only post merge.  Processor
     identity never changes timing, and carrying ``(time, proc)`` tuples
     through the hot loop made an NS=10, NM=1800 simulation 45–60% slower
     (2-vCPU VM), so proc ids are reconstructed only when records are
@@ -50,7 +67,11 @@ Decision stream
 from __future__ import annotations
 
 import heapq
+import math
+from collections import deque
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro import obs
 from repro.core.grouping import Grouping
@@ -68,6 +89,13 @@ __all__ = ["simulate", "simulate_on_cluster"]
 
 #: One main dispatch: ``(start, end, group, scenario)``.
 _Dispatch = tuple[float, float, int, int]
+
+#: Below this many main tasks (``NS·NM``) the numpy set-up of
+#: :func:`_fast_forward` costs more than it saves, and the heap loop
+#: runs the whole main phase.  Measured crossover: 44–60 tasks at
+#: NS = 4, 6 and 10 on fig7 ``sagittaire`` groupings (2-vCPU VM,
+#: Python 3.11.7; see docs/PERFORMANCE.md).
+_FAST_FORWARD_MIN_TASKS = 56
 
 
 def simulate(
@@ -187,8 +215,8 @@ def _records(
     dispatches counted in order, because a scenario is only dispatched
     once its previous month has finished.  Post records replay the ready
     list in ``(ready, scenario, month)`` order on a ``(available_from,
-    proc_id)`` heap — the float-only post loop makes the same pops, so
-    start and end times match the makespan it reported.
+    proc_id)`` heap — the float-only post merge takes the same free
+    times, so start and end times match the makespan it reported.
     """
     ranges = proc_ranges(grouping)
     months = [0] * spec.scenarios
@@ -271,18 +299,18 @@ def _run_main_phase(
     """Schedule every main task; return ``(ready_times, group_last_end)``.
 
     The waiting set is a heap of ``(months_done, wait_since, scenario)``
-    (keys are frozen while a scenario waits, so entries never go stale)
-    and the free groups a heap of ``(T[g], g)``: each completion event
-    pairs the least advanced waiting scenario with the fastest free
-    group until one side runs out.  Ready times come back in completion
-    order — nondecreasing, so the last entry is the main-phase makespan
-    and the post phase needs no sort.  When ``stream`` is a list, every
-    dispatch is appended to it as ``(start, end, group, scenario)``.
+    (keys are frozen while a scenario waits, so entries never go stale),
+    the free groups a heap of ``(T[g], g)`` and the running tasks a heap
+    of ``(end, group, scenario)``.  With no more groups than scenarios,
+    :func:`_fast_forward` first plays the stretch where no group idles;
+    :func:`_replay` then runs the rest of the schedule (all of it when
+    there are more groups than scenarios).  Ready times come back in
+    completion order — nondecreasing, so the last entry is the
+    main-phase makespan.  When ``stream`` is a list, every dispatch is
+    appended to it as ``(start, end, group, scenario)``.
     """
     ns, nm = spec.scenarios, spec.months
     months_done = [0] * ns
-    unstarted = ns * nm
-
     # Both comprehensions produce ascending sequences — already valid heaps.
     waiting: list[tuple[int, float, int]] = [(0, 0.0, s) for s in range(ns)]
     idle: list[tuple[float, int]] = sorted(
@@ -291,7 +319,125 @@ def _run_main_phase(
     running: list[tuple[float, int, int]] = []
     group_last_end = [0.0] * len(group_times)
     ready_times: list[float] = []
+    unstarted = ns * nm
+    # The fast-forward needs every group busy from t=0 and running sums
+    # that grow (a positive fastest time sizes its horizon).
+    if (
+        ns * nm >= _FAST_FORWARD_MIN_TASKS
+        and len(group_times) <= ns
+        and idle[0][0] > 0.0
+    ):
+        unstarted -= _fast_forward(
+            nm, group_times, months_done, waiting, idle, running,
+            ready_times, stream,
+        )
+    _replay(
+        nm, group_times, months_done, waiting, idle, running, unstarted,
+        group_last_end, ready_times, stream,
+    )
+    return ready_times, group_last_end
 
+
+def _fast_forward(
+    nm: int,
+    group_times: list[float],
+    months_done: list[int],
+    waiting: list[tuple[int, float, int]],
+    idle: list[tuple[float, int]],
+    running: list[tuple[float, int, int]],
+    ready_times: list[float],
+    stream: list[_Dispatch] | None,
+) -> int:
+    """Play the main phase up to the first finish; return the dispatches made.
+
+    With ``k <= NS`` groups all ``k`` start at time 0.  Until a scenario
+    runs its last month, each completion puts its scenario back among
+    the waiting, so the freed group — the only free one — is dispatched
+    again at once.  Group ``g``'s tasks therefore end at the running sums
+    of ``T[g]``, which ``np.cumsum`` reproduces bit for bit (it adds
+    float64 in order, as ``now + gt`` does), and completions arrive in
+    ``(end, group)`` order: a stable argsort of the group-major sums, the
+    heap loop's own pop order.  Only the scenario choice stays
+    sequential — one ``heappushpop`` on the waiting heap per completion.
+
+    Only completions ending before every group's last generated sum are
+    merged; no group has an ungenerated completion before that cutoff,
+    so the merge is exact wherever it stops.  Play stops at the first
+    finish (left unprocessed) or at the cutoff, with the state as the
+    heap loop would have it after the same completions — every group
+    running, ``idle`` empty — for :func:`_replay` to continue from.
+    """
+    k, ns = len(group_times), len(months_done)
+    # Initial wave: the i-th fastest group takes scenario i.
+    current = [0] * k
+    gt_min = idle[0][0]
+    for scenario in range(k):
+        gt, group = heapq.heappop(idle)
+        heapq.heappop(waiting)
+        current[group] = scenario
+        if stream is not None:
+            stream.append((0.0, gt, group, scenario))
+
+    # At most NS·(NM-1) + 1 completions precede the first finish.  The
+    # fastest group's ``steps`` sums end at a cutoff before which the k
+    # groups complete at least that many tasks (each group's count below
+    # the cutoff is short of ``cutoff / T[g]`` by less than one, hence the
+    # ``+ k``); the slower groups' sums past the cutoff go unused.
+    need = ns * (nm - 1) + 1 + k
+    steps = int(need / sum(gt_min / gt for gt in group_times)) + 2
+    # Row g is group g's running sum; flat index = g * steps + task.
+    column = np.asarray(group_times)[:, None]
+    sums = np.full((k, steps), column).cumsum(axis=1)
+    ends = sums.ravel()
+    order = np.argsort(ends, kind="stable")
+    order = order[: np.count_nonzero(ends < sums[:, -1].min())]
+    times = ends[order].tolist()
+    groups = (order // steps).tolist()
+
+    # ``now + T[g]`` is the group's next sum: the same float addition.
+    append = stream.append if stream is not None else None
+    pushpop = heapq.heappushpop
+    for group, now in zip(groups, times):
+        scenario = current[group]
+        done = months_done[scenario] + 1
+        if done == nm:
+            break
+        months_done[scenario] = done
+        scenario = pushpop(waiting, (done, now, scenario))[2]
+        current[group] = scenario
+        if append is not None:
+            append((now, now + group_times[group], group, scenario))
+
+    played = sum(months_done)
+    del times[played:]
+    ready_times.extend(times)
+    # Every group is running; its next end follows the sums it used.
+    taken = np.bincount(order[:played] // steps, minlength=k).tolist()
+    running.extend(
+        (float(sums[group, n]), group, current[group])
+        for group, n in enumerate(taken)
+    )
+    heapq.heapify(running)
+    return k + played
+
+
+def _replay(
+    nm: int,
+    group_times: list[float],
+    months_done: list[int],
+    waiting: list[tuple[int, float, int]],
+    idle: list[tuple[float, int]],
+    running: list[tuple[float, int, int]],
+    unstarted: int,
+    group_last_end: list[float],
+    ready_times: list[float],
+    stream: list[_Dispatch] | None,
+) -> None:
+    """The event loop, continued from the given state to the end.
+
+    Each completion event pairs the least advanced waiting scenario with
+    the fastest free group until one side runs out.
+    """
     push, pop = heapq.heappush, heapq.heappop
     now = 0.0
     while True:
@@ -319,7 +465,6 @@ def _run_main_phase(
             f"main phase ended with {unstarted} unstarted tasks and "
             f"{len(waiting)} waiting scenarios — engine invariant broken"
         )
-    return ready_times, group_last_end
 
 
 def _run_post_phase(
@@ -328,19 +473,25 @@ def _run_post_phase(
     group_last_end: list[float],
     tp: float,
 ) -> float:
-    """The post phase on a float-only processor heap; returns its makespan.
+    """The post phase as a heap-free merge; returns its makespan.
 
-    Processor identity never affects timing — the pool pops the earliest
-    ``available_from`` either way — so the heap holds bare floats.  The
-    ready list arrives sorted (main-phase completion order), and posts of
-    equal ready time are interchangeable: whatever order they claim the
-    two earliest processors in, the resulting pool and end-time multisets
-    are identical, hence the same makespan as the proc-id replay.
+    Each post takes the earliest free processor.  Processor identity
+    never affects timing, so only free times are kept: the sorted
+    initial pool (the post pool at 0, each group's processors from its
+    last main end) and a FIFO of the ends of posts already placed.  Post
+    ends never decrease — ready times arrive sorted (main-phase
+    completion order) and each post starts no earlier than the free
+    time it took, which is itself the minimum of a pool that only grows
+    upward — so the FIFO stays sorted, the earliest free time is the
+    smaller of the two heads, and the last end is the makespan.  Posts
+    of equal ready time are interchangeable: whatever order they claim
+    the two earliest processors in, the resulting free-time and end-time
+    multisets are identical, hence the same makespan as the proc-id
+    replay.
     """
     pool: list[float] = [0.0] * grouping.post_pool
     for group, size in enumerate(grouping.group_sizes):
         pool.extend([group_last_end[group]] * size)
-    heapq.heapify(pool)
 
     if not pool:
         if ready_times:
@@ -350,12 +501,20 @@ def _run_post_phase(
             )
         return 0.0
 
-    push, pop = heapq.heappush, heapq.heappop
-    makespan = 0.0
+    pool.sort()
+    pool.append(math.inf)
+    # The FIFO holds as many ends as pool entries claimed, so it is
+    # never empty once the first post has taken ``pool[0]``.
+    ends: deque[float] = deque()
+    append, popleft = ends.append, ends.popleft
+    i = 0
+    end = 0.0
     for ready in ready_times:
-        free_at = pop(pool)
+        free_at = pool[i]
+        if i and ends[0] < free_at:
+            free_at = popleft()
+        else:
+            i += 1
         end = (free_at if free_at > ready else ready) + tp
-        push(pool, end)
-        if end > makespan:
-            makespan = end
-    return makespan
+        append(end)
+    return end

@@ -49,8 +49,11 @@ from repro.core.makespan import (
 )
 from repro.exceptions import SchedulingError
 from repro.platform.timing import TableTimingModel
+from repro.simulation import engine
 from repro.simulation.engine import simulate
+from repro.simulation.groups import proc_ranges
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.simulation import reference_engine
 from tests.simulation.reference_engine import reference_simulate
 
 GROUP_SIZES = range(4, 12)
@@ -115,6 +118,53 @@ def engine_instances(draw):
         sizes, sum(sizes) + post_pool, post_pool=post_pool
     )
     return grouping, EnsembleSpec(scenarios, months), timing, enforce_cardinality
+
+
+@st.composite
+def long_horizon_instances(draw):
+    """Engine instances at horizons up to NM=300, one structure per draw.
+
+    ``engine_instances`` stops at NS·NM = 80, short of where the main
+    phase runs long without idle groups.  Here NM spans both sides of
+    the engine's fast-forward threshold, and each draw takes one shape:
+    every group size at the same time (all completions tie), ``k == NS``,
+    ``NS == 1``, ``k > NS`` (``enforce_cardinality=False``, groups idle
+    from the start), or free heterogeneous times with ``k <= NS``.
+    """
+    shape = draw(st.sampled_from(["ties", "k_eq_ns", "ns_one", "k_gt_ns", "free"]))
+    scenarios = 1 if shape == "ns_one" else draw(st.integers(2, 10))
+    months = draw(st.one_of(st.integers(1, 12), st.integers(13, 300)))
+    if shape in ("k_eq_ns", "ns_one"):
+        n_groups = scenarios
+    elif shape == "k_gt_ns":
+        n_groups = draw(st.integers(scenarios + 1, scenarios + 4))
+    else:
+        n_groups = draw(st.integers(1, scenarios))
+    if shape == "ties":
+        tg = draw(st.floats(min_value=0.1, max_value=3000.0))
+        table = {g: tg for g in GROUP_SIZES}
+    else:
+        # Few distinct times, so equal ends across groups stay common.
+        times = draw(
+            st.lists(st.floats(min_value=0.1, max_value=3000.0), min_size=1, max_size=3)
+        )
+        table = {g: draw(st.sampled_from(times)) for g in GROUP_SIZES}
+    timing = TableTimingModel(
+        table, post_seconds=draw(st.floats(min_value=0.05, max_value=400.0))
+    )
+    sizes = draw(
+        st.lists(
+            st.integers(min_value=4, max_value=11),
+            min_size=n_groups,
+            max_size=n_groups,
+        )
+    )
+    post_pool = draw(st.integers(min_value=0, max_value=6))
+    grouping = Grouping.from_sizes(
+        sizes, sum(sizes) + post_pool, post_pool=post_pool
+    )
+    enforce = shape != "k_gt_ns"
+    return grouping, EnsembleSpec(scenarios, months), timing, enforce
 
 
 def _basic_grouping(g: int, resources: int, scenarios: int) -> Grouping:
@@ -260,6 +310,39 @@ def test_fast_path_matches_reference_bit_for_bit(instance) -> None:
     assert plain.main_makespan == reference.main_makespan
 
 
+@given(
+    sizes=st.lists(st.integers(4, 11), min_size=1, max_size=4),
+    post_pool=st.integers(0, 3),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_post_merge_matches_reference_heap(sizes, post_pool, data) -> None:
+    """The heap-free post merge against the oracle's proc-id heap.
+
+    Group release times and ready times are drawn independently of any
+    main phase — releases before, among and after the ready times, with
+    repeats — so the merge meets pools no simulation would build.
+    """
+    grouping = Grouping.from_sizes(
+        sizes, sum(sizes) + post_pool, post_pool=post_pool
+    )
+    stamps = data.draw(
+        st.lists(st.floats(min_value=0.0, max_value=1000.0), min_size=1, max_size=5)
+    )
+    group_last_end = [data.draw(st.sampled_from(stamps)) for _ in sizes]
+    ready = sorted(data.draw(st.lists(st.sampled_from(stamps), max_size=120)))
+    tp = data.draw(st.sampled_from([0.5, 3.0, 50.0, 400.0]))
+    _records, expected = reference_engine._run_post_phase(
+        grouping,
+        [(r, i, 0, r) for i, r in enumerate(ready)],
+        group_last_end,
+        proc_ranges(grouping),
+        tp,
+        False,
+    )
+    assert engine._run_post_phase(grouping, ready, group_last_end, tp) == expected
+
+
 def _records_digest(records) -> str:
     text = repr([
         (r.kind, r.scenario, r.month, r.start.hex(), r.end.hex(), r.group,
@@ -288,11 +371,8 @@ def test_fast_path_matches_instrumented_reference(instance) -> None:
     assert _records_digest(observed.records) == _records_digest(quiet.records)
 
 
-@given(engine_instances())
-@settings(max_examples=40, deadline=None)
-def test_engine_metrics_match_reference_records(instance) -> None:
+def _assert_metrics_match_reference(grouping, spec, timing, enforce) -> None:
     """The engine's metrics equal the values the oracle's records imply."""
-    grouping, spec, timing, enforce = instance
     reference = reference_simulate(
         grouping, spec, timing, enforce_cardinality=enforce
     )
@@ -321,6 +401,38 @@ def test_engine_metrics_match_reference_records(instance) -> None:
     assert value("counters", "simulation.tasks", kind="main") == len(mains)
     assert value("counters", "simulation.tasks", kind="post") == len(posts)
     assert value("gauges", "simulation.makespan_seconds") == reference.makespan
+
+
+@given(engine_instances())
+@settings(max_examples=40, deadline=None)
+def test_engine_metrics_match_reference_records(instance) -> None:
+    """The engine's metrics equal the values the oracle's records imply."""
+    _assert_metrics_match_reference(*instance)
+
+
+@given(long_horizon_instances())
+@settings(max_examples=80, deadline=None)
+def test_long_horizon_matches_reference_bit_for_bit(instance) -> None:
+    """Long horizons, ties, ``k == NS``, ``NS == 1`` and ``k > NS``.
+
+    Makespans and the full records tuple bit for bit, untraced makespans,
+    and the obs metrics (waves, idle seconds, events dispatched) against
+    the oracle's records.
+    """
+    grouping, spec, timing, enforce = instance
+    reference = reference_simulate(
+        grouping, spec, timing, enforce_cardinality=enforce
+    )
+    traced = simulate(
+        grouping, spec, timing, record_trace=True, enforce_cardinality=enforce
+    )
+    plain = simulate(grouping, spec, timing, enforce_cardinality=enforce)
+    assert traced.makespan == reference.makespan
+    assert traced.main_makespan == reference.main_makespan
+    assert traced.records == reference.records
+    assert plain.makespan == reference.makespan
+    assert plain.main_makespan == reference.main_makespan
+    _assert_metrics_match_reference(grouping, spec, timing, enforce)
 
 
 def test_cache_counters_and_metrics_export() -> None:

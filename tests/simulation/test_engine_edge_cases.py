@@ -5,11 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.grouping import Grouping
+from repro.platform.benchmarks import benchmark_timing
 from repro.platform.timing import AmdahlTimingModel, TableTimingModel
 from repro.simulation.engine import simulate
 from repro.simulation.online import simulate_online
 from repro.simulation.validate import validate_schedule
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.simulation.reference_engine import reference_simulate
 
 
 def _flat(tg: float = 100.0, tp: float = 10.0) -> TableTimingModel:
@@ -90,3 +92,71 @@ class TestNarrowMoldability:
         grouping = Grouping((4, 2), 1, 7)
         result = simulate(grouping, EnsembleSpec(2, 3), timing, record_trace=True)
         validate_schedule(result, timing)
+
+
+def _assert_matches_reference(grouping, spec, timing) -> None:
+    reference = reference_simulate(grouping, spec, timing)
+    traced = simulate(grouping, spec, timing, record_trace=True)
+    plain = simulate(grouping, spec, timing)
+    assert traced.makespan == reference.makespan
+    assert traced.main_makespan == reference.main_makespan
+    assert traced.records == reference.records
+    assert plain.makespan == reference.makespan
+    assert plain.main_makespan == reference.main_makespan
+
+
+class TestPaperScale:
+    """fig7 ``sagittaire`` groupings at the paper's NS=10, NM=1800.
+
+    One grouping per structure class the fig7 sweep produces: uniform or
+    heterogeneous group times, fewer groups than scenarios or exactly as
+    many.  Heterogeneous float times with ``k < NS`` are the class whose
+    completion order never repeats.
+    """
+
+    @pytest.mark.parametrize(
+        ("sizes", "post_pool", "uniform", "k_eq_ns"),
+        [
+            ((9, 9, 9, 9, 9), 2, True, False),
+            ((9,) * 10, 3, True, True),
+            ((8, 8, 8, 7, 7, 7, 7), 1, False, False),
+            ((8, 8, 8, 8, 8, 8, 7, 7, 7, 7), 0, False, True),
+        ],
+        ids=["uniform-k<NS", "uniform-k=NS", "hetero-k<NS", "hetero-k=NS"],
+    )
+    def test_matches_reference(self, sizes, post_pool, uniform, k_eq_ns) -> None:
+        timing = benchmark_timing("sagittaire")
+        spec = EnsembleSpec(10, 1800)
+        grouping = Grouping.from_sizes(
+            list(sizes), sum(sizes) + post_pool, post_pool=post_pool
+        )
+        times = {timing.main_time(g) for g in grouping.group_sizes}
+        assert (len(times) == 1) is uniform
+        assert (grouping.n_groups == spec.scenarios) is k_eq_ns
+        _assert_matches_reference(grouping, spec, timing)
+
+
+class TestFirstFinishTie:
+    """The first scenario to finish ends at the same float time as other
+    groups' completions — the point where the main phase stops being
+    idle-free.  Dyadic times keep the tie exact."""
+
+    @pytest.mark.parametrize(
+        ("sizes", "scenarios", "months", "t4", "t5"),
+        [
+            ((5, 5, 4), 4, 20, 2.0, 3.0),  # finishing group pops last
+            ((5, 4, 4), 4, 20, 3.0, 2.0),  # finishing group pops first
+            ((5, 4), 2, 30, 2.0, 3.0),  # k == NS
+        ],
+    )
+    def test_matches_reference(self, sizes, scenarios, months, t4, t5) -> None:
+        timing = TableTimingModel(
+            {g: t4 if g == 4 else t5 for g in range(4, 12)}, post_seconds=1.0
+        )
+        grouping = Grouping.from_sizes(list(sizes), sum(sizes) + 1, post_pool=1)
+        spec = EnsembleSpec(scenarios, months)
+        reference = reference_simulate(grouping, spec, timing)
+        mains = [r for r in reference.records if r.kind == "main"]
+        first_finish = min(r.end for r in mains if r.month == months - 1)
+        assert sum(r.end == first_finish for r in mains) > 1
+        _assert_matches_reference(grouping, spec, timing)
