@@ -1,11 +1,17 @@
-"""Benchmark of the fault-injection subsystem's two hot paths.
+"""Benchmark of the fault-injection subsystem's hot paths.
 
-Two promises are enforced:
+Three promises are enforced:
 
 * **zero-cost when off** — passing an empty (noop) :class:`FaultHook`
   to :func:`repro.simulation.engine.simulate` must stay within 5% of
   a plain untraced call, because the noop hook short-circuits to
   ``faults=None`` before any records are asked for;
+* **a cheap live warp** — a live hook (outage, slowdown and crash)
+  through :func:`repro.faults.hooks.simulate_with_faults` costs at most
+  ``LIVE_WARP_CEILING`` plain untraced simulations of the same schedule,
+  timed in the same process.  The ratio travels across machines; it
+  guards the column warp against sliding back to one Python object per
+  task (the record-by-record warp it replaced measured about 20x here);
 * **replanning throughput** — the multi-failure replanner
   (:func:`repro.middleware.recovery.run_campaign_with_faults`) chews
   through a 100-outage trace at a usable rate: every applied event
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import time
 
-from repro.faults.hooks import FaultHook
+from repro.faults.hooks import FaultHook, simulate_with_faults
 from repro.faults.trace import FaultEvent, FaultKind, FaultTrace
 from repro.middleware.recovery import run_campaign_with_faults
 from repro.platform.benchmarks import benchmark_cluster, benchmark_grid
@@ -32,6 +38,9 @@ from repro.core.heuristics import plan_grouping, HeuristicName
 
 #: Relative overhead allowed for the noop-hook path vs a plain call.
 OVERHEAD_CEILING = 0.05
+
+#: A live-hook simulation may cost at most this many plain ones.
+LIVE_WARP_CEILING = 5.0
 
 #: Outage events replayed by the throughput leg.
 N_FAILURES = 100
@@ -74,6 +83,52 @@ def test_noop_hook_overhead_under_five_percent() -> None:
         f"hooked={hooked_s * 1e3:.2f} ms ({overhead * 100:+.2f}%)"
     )
     assert overhead < OVERHEAD_CEILING
+
+
+def test_live_warp_within_five_plain_simulations() -> None:
+    cluster = benchmark_cluster("sagittaire", 53)
+    spec = EnsembleSpec(10, 120)
+    grouping = plan_grouping(cluster, spec, HeuristicName.KNAPSACK)
+    makespan = simulate(grouping, spec, cluster.timing).makespan
+    hook = FaultHook.from_events(
+        [
+            FaultEvent(
+                FaultKind.OUTAGE, cluster.name, 0.2 * makespan,
+                duration=0.05 * makespan,
+            ),
+            FaultEvent(
+                FaultKind.SLOWDOWN, cluster.name, 0.4 * makespan,
+                duration=0.1 * makespan, factor=2.0,
+            ),
+            FaultEvent(FaultKind.CRASH, cluster.name, 0.8 * makespan),
+        ],
+        cluster=cluster.name,
+    )
+    _, outcome = simulate_with_faults(
+        grouping, spec, cluster.timing, hook, cluster_name=cluster.name
+    )
+    assert outcome.crashed and outcome.months_lost > 0
+
+    def plain() -> None:
+        for _ in range(20):
+            simulate(grouping, spec, cluster.timing)
+
+    def live() -> None:
+        for _ in range(20):
+            simulate_with_faults(
+                grouping, spec, cluster.timing, hook,
+                cluster_name=cluster.name,
+            )
+
+    plain()  # warm any lazy state before timing
+    plain_s = _time(plain, repeats=5)
+    live_s = _time(live, repeats=5)
+    ratio = live_s / plain_s
+    print(
+        f"\nlive warp: plain={plain_s * 1e3:.2f} ms "
+        f"live={live_s * 1e3:.2f} ms ({ratio:.2f}x)"
+    )
+    assert ratio <= LIVE_WARP_CEILING
 
 
 def test_replanning_throughput_on_100_failures() -> None:

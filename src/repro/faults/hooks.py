@@ -23,17 +23,38 @@ scenario from its last completed month.
 An empty hook is guaranteed free: :func:`repro.simulation.engine.simulate`
 treats it as ``faults=None``, so results are bit-for-bit those of the
 fault-free engine.  A live hook warps the schedule that same engine
-produces with ``record_trace=True`` — there is no separate fault path.
+produces — there is no separate fault path — and warps it as numpy
+columns, not record by record.  The engine hands
+:meth:`FaultHook.warp_schedule` its tasks' ``start``, ``end``,
+``scenario`` and ``n_procs`` columns (mains in dispatch order, then
+posts in ``(ready, scenario, month)`` order); :meth:`FaultHook.warp`, the
+one kernel the engine and :meth:`FaultHook.apply_dag` share, maps them
+through :meth:`FaultHook.wallclocks`, masks out the tasks that end after
+the crash and sums the work lost by the few that straddle it, in record
+order.  ``wallclocks`` makes the float operations of the scalar
+:meth:`FaultHook.wallclock` element by element (``np.searchsorted`` with
+``side="right"`` for ``bisect_right``, and the same rate-0 branch), so
+every warped time, makespan and loss is bit-for-bit that of a
+record-by-record warp; that warp lives on in
+``tests/faults/reference_warp.py`` as the differential oracle.  Task
+records are built, from the warped columns, only when a trace is asked
+for.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, NamedTuple
+
+import numpy as np
 
 from repro import obs
 from repro.exceptions import SimulationError
 from repro.faults.trace import FaultEvent, FaultKind, FaultTrace
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.workflow.ocean_atmosphere import EnsembleSpec
 
 __all__ = ["FaultHook", "FaultOutcome", "simulate_with_faults"]
 
@@ -77,6 +98,21 @@ class FaultOutcome:
         return self.crash_at is not None
 
 
+class Warp(NamedTuple):
+    """A schedule's columns after :meth:`FaultHook.warp`."""
+
+    #: wall-clock start and end of every task, in record order.
+    start: np.ndarray
+    end: np.ndarray
+    #: whether each task finished by the crash.
+    alive: np.ndarray
+    #: processor-seconds of in-flight work destroyed (wall-clock).
+    lost_work_seconds: float
+    #: wall-clock makespans of the surviving tasks (all, and mains only).
+    makespan: float
+    main_makespan: float
+
+
 class FaultHook:
     """A compiled, single-cluster fault injector (see module docstring)."""
 
@@ -98,8 +134,18 @@ class FaultHook:
             self._progress_at_start.append(acc)
             acc += (w.end - w.start) * w.rate
             prev_end = w.end
-        self._progress_after = acc
-        self._last_end = prev_end
+        # The same per-window operands as arrays, for :meth:`wallclocks`.
+        rates = [w.rate for w in windows]
+        self._progress_array = np.array(self._progress_at_start)
+        self._window_columns = (
+            np.array(self._wall_starts),
+            np.array([w.end for w in windows]),
+            np.array(rates),
+            # Rate-0 windows take the ``start`` branch; 1.0 only keeps
+            # the discarded quotient finite.
+            np.array([r if r else 1.0 for r in rates]),
+            np.array([(w.end - w.start) * w.rate for w in windows]),
+        )
 
     # -- construction ------------------------------------------------------
 
@@ -168,6 +214,30 @@ class FaultHook:
         # Past this window: the remainder accrues at rate 1 after it.
         return w.end + (p - done_at_start - in_window)
 
+    def wallclocks(self, p: np.ndarray) -> np.ndarray:
+        """:meth:`wallclock` of every element of ``p``, bit for bit.
+
+        Each element takes the scalar method's branch and float
+        operations: ``np.searchsorted(side="right")`` finds the window
+        as ``bisect_right`` does.
+        """
+        if not self.windows:
+            return p
+        done_at = self._progress_array
+        # Before the first window i is -1 and indexes the last window;
+        # the final ``where`` returns those elements unchanged.
+        i = np.searchsorted(done_at, p, side="right") - 1
+        starts, ends, rates, divisors, in_windows = self._window_columns
+        start, done, in_window = starts[i], done_at[i], in_windows[i]
+        wall = np.where(
+            p <= done + in_window,
+            np.where(
+                rates[i] == 0.0, start, start + (p - done) / divisors[i]
+            ),
+            ends[i] + (p - done - in_window),
+        )
+        return np.where(p <= done_at[0], p, wall)
+
     def progress(self, t: float) -> float:
         """Fault-free progress accumulated by wall-clock time ``t``."""
         if not self.windows or t <= self.windows[0].start:
@@ -187,81 +257,92 @@ class FaultHook:
 
     # -- application -------------------------------------------------------
 
-    def apply(self, result, *, keep_records: bool = True):
-        """Warp a traced :class:`~repro.simulation.events.SimulationResult`.
+    def warp(
+        self,
+        start: np.ndarray,
+        end: np.ndarray,
+        n_procs: np.ndarray,
+        main: np.ndarray,
+    ) -> Warp:
+        """Warp a schedule held as columns — the one fault-warp kernel.
 
-        Returns ``(warped_result, outcome)``.  The input must carry
-        records (``record_trace=True``); the engines guarantee that when
-        a hook is passed.  Surviving records get warped start/end times;
-        tasks in flight at the crash (and everything after) are dropped.
+        ``start`` and ``end`` are fault-free task times, ``n_procs`` the
+        processors each task holds and ``main`` flags the coupled runs,
+        all in record order.  A task survives when its warped end is no
+        later than the crash; the work destroyed by the tasks that
+        straddle the crash is summed in record order, so the total
+        rounds exactly as a record-by-record warp does.
         """
-        if self.is_noop:
-            outcome = _completed_outcome(result)
-            if not keep_records:
-                result = replace(result, records=())
-            return result, outcome
-        if not result.records:
-            raise SimulationError(
-                "fault hooks need a traced simulation (record_trace=True)"
-            )
-        survivors = []
+        n = len(start)
+        walls = self.wallclocks(np.concatenate((start, end)))
+        start, end = walls[:n], walls[n:]
+        crash = self.crash_at
         lost_work = 0.0
-        completed: dict[int, int] = {
-            s: 0 for s in range(result.spec.scenarios)
-        }
-        finished_posts: dict[int, int] = {
-            s: 0 for s in range(result.spec.scenarios)
-        }
-        for record in result.records:
-            start = self.wallclock(record.start)
-            end = self.wallclock(record.end)
-            if self.crash_at is not None and end > self.crash_at:
-                if start < self.crash_at:
-                    lost_work += (self.crash_at - start) * record.n_procs
-                continue
-            survivors.append(replace(record, start=start, end=end))
-            if record.kind == "main":
-                completed[record.scenario] += 1
-            else:
-                finished_posts[record.scenario] += 1
-        makespan = max((r.end for r in survivors), default=0.0)
-        main_makespan = max(
-            (r.end for r in survivors if r.kind == "main"), default=0.0
+        if crash is None:
+            alive = np.ones(len(end), dtype=bool)
+        else:
+            alive = end <= crash
+            cut = np.flatnonzero(~alive & (start < crash))
+            for began, procs in zip(
+                start[cut].tolist(), n_procs[cut].tolist(), strict=True
+            ):
+                lost_work += (crash - began) * procs
+        ends = end[alive]
+        main_ends = end[alive & main]
+        return Warp(
+            start=start,
+            end=end,
+            alive=alive,
+            lost_work_seconds=lost_work,
+            makespan=float(ends.max()) if len(ends) else 0.0,
+            main_makespan=float(main_ends.max()) if len(main_ends) else 0.0,
         )
-        pending_posts = {
-            s: completed[s] - min(finished_posts[s], completed[s])
-            for s in completed
-        }
+
+    def warp_schedule(
+        self,
+        start: np.ndarray,
+        end: np.ndarray,
+        n_procs: np.ndarray,
+        scenario: np.ndarray,
+        n_main: int,
+        spec: EnsembleSpec,
+        cluster_name: str,
+    ) -> tuple[Warp, FaultOutcome]:
+        """Warp an engine schedule's columns; return ``(warp, outcome)``.
+
+        The first ``n_main`` rows are the main tasks, the rest their
+        posts; ``scenario`` gives each row's scenario.  A scenario's
+        completed months are its surviving mains, and its pending posts
+        those completed months whose post did not survive.
+        """
+        main = np.zeros(len(end), dtype=bool)
+        main[:n_main] = True
+        warp = self.warp(start, end, n_procs, main)
+        ns = spec.scenarios
+        done = np.bincount(
+            scenario[:n_main][warp.alive[:n_main]], minlength=ns
+        )
+        posts = np.bincount(
+            scenario[n_main:][warp.alive[n_main:]], minlength=ns
+        )
         months_lost = (
-            result.spec.scenarios * result.spec.months
-            - sum(completed.values())
+            ns * spec.months - int(done.sum())
             if self.crash_at is not None
             else 0
         )
-        warped = replace(
-            result,
-            makespan=makespan,
-            main_makespan=main_makespan,
-            records=tuple(survivors) if keep_records else (),
-        )
         outcome = FaultOutcome(
-            cluster_name=result.cluster_name,
+            cluster_name=cluster_name,
             crash_at=self.crash_at,
-            completed_months=completed,
-            pending_posts=pending_posts,
+            completed_months=dict(enumerate(done.tolist())),
+            pending_posts=dict(
+                enumerate((done - np.minimum(posts, done)).tolist())
+            ),
             months_lost=months_lost,
-            lost_work_seconds=lost_work,
-            makespan=makespan,
+            lost_work_seconds=warp.lost_work_seconds,
+            makespan=warp.makespan,
         )
-        if obs.enabled():
-            obs.inc("faults.engine_injections", cluster=result.cluster_name)
-            if months_lost:
-                obs.inc(
-                    "faults.months_lost",
-                    months_lost,
-                    cluster=result.cluster_name,
-                )
-        return warped, outcome
+        _count_injection(cluster_name, months_lost)
+        return warp, outcome
 
     def apply_dag(self, result, dag=None, *, keep_records: bool = True):
         """Warp a traced :class:`~repro.simulation.dag_engine.DagSimulationResult`.
@@ -272,7 +353,8 @@ class FaultHook:
         per-scenario accounting (otherwise ``completed_months`` and
         ``pending_posts`` stay empty).  A completed sequential task
         counts as a finished post; a sequential task whose predecessors
-        all survived but which did not finish counts as pending.
+        all survived but which did not finish counts as pending.  The
+        records go through :meth:`warp` as columns.
         """
         if self.is_noop:
             empty = {}
@@ -298,33 +380,23 @@ class FaultHook:
             if not keep_records:
                 result = replace(result, records=())
             return result, outcome
-        if not result.records:
+        records = result.records
+        if not records:
             raise SimulationError(
                 "fault hooks need a traced simulation (record_trace=True)"
             )
-        survivors = []
-        finished_ids: set[str] = set()
-        lost_work = 0.0
-        total_mains = 0
-        surviving_mains = 0
-        for record in result.records:
-            if record.kind == "main":
-                total_mains += 1
-            start = self.wallclock(record.start)
-            end = self.wallclock(record.end)
-            if self.crash_at is not None and end > self.crash_at:
-                if start < self.crash_at:
-                    procs = record.procs_stop - record.procs_start
-                    lost_work += (self.crash_at - start) * procs
-                continue
-            survivors.append(replace(record, start=start, end=end))
-            finished_ids.add(record.task_id)
-            if record.kind == "main":
-                surviving_mains += 1
-        makespan = max((r.end for r in survivors), default=0.0)
-        main_makespan = max(
-            (r.end for r in survivors if r.kind == "main"), default=0.0
+        n = len(records)
+        main = np.fromiter((r.kind == "main" for r in records), bool, n)
+        warp = self.warp(
+            np.fromiter((r.start for r in records), float, n),
+            np.fromiter((r.end for r in records), float, n),
+            np.fromiter(
+                (r.procs_stop - r.procs_start for r in records), np.intp, n
+            ),
+            main,
         )
+        kept = [r for r, ok in zip(records, warp.alive.tolist()) if ok]
+        finished_ids = {r.task_id for r in kept}
         completed: dict[int, int] = {}
         pending: dict[int, int] = {}
         if dag is not None:
@@ -340,12 +412,24 @@ class FaultHook:
                     p in finished_ids for p in dag.predecessors(tid)
                 ):
                     pending[task.scenario] += 1
-        months_lost = total_mains - surviving_mains
+        months_lost = int(np.count_nonzero(main & ~warp.alive))
+        survivors: tuple = ()
+        if keep_records:
+            alive = warp.alive
+            survivors = tuple(
+                replace(r, start=s, end=e)
+                for r, s, e in zip(
+                    kept,
+                    warp.start[alive].tolist(),
+                    warp.end[alive].tolist(),
+                    strict=True,
+                )
+            )
         warped = replace(
             result,
-            makespan=makespan,
-            main_makespan=main_makespan,
-            records=tuple(survivors) if keep_records else (),
+            makespan=warp.makespan,
+            main_makespan=warp.main_makespan,
+            records=survivors,
         )
         outcome = FaultOutcome(
             cluster_name="dag",
@@ -353,14 +437,19 @@ class FaultHook:
             completed_months=completed,
             pending_posts=pending,
             months_lost=months_lost,
-            lost_work_seconds=lost_work,
-            makespan=makespan,
+            lost_work_seconds=warp.lost_work_seconds,
+            makespan=warp.makespan,
         )
-        if obs.enabled():
-            obs.inc("faults.engine_injections", cluster="dag")
-            if months_lost:
-                obs.inc("faults.months_lost", months_lost, cluster="dag")
+        _count_injection("dag", months_lost)
         return warped, outcome
+
+
+def _count_injection(cluster: str, months_lost: int) -> None:
+    """Count one live-hook warp (and the months it destroyed)."""
+    if obs.enabled():
+        obs.inc("faults.engine_injections", cluster=cluster)
+        if months_lost:
+            obs.inc("faults.months_lost", months_lost, cluster=cluster)
 
 
 def _normalize(raw: list[tuple[float, float, float]]) -> tuple[_Window, ...]:
@@ -414,7 +503,7 @@ def simulate_with_faults(
     keyword is the returned :class:`FaultOutcome` — the checkpoint-level
     account the middleware replanner consumes.
     """
-    from repro.simulation.engine import simulate
+    from repro.simulation.engine import _simulate, simulate
 
     if isinstance(faults, FaultTrace):
         faults = FaultHook.from_trace(faults, cluster_name)
@@ -424,8 +513,7 @@ def simulate_with_faults(
             cluster_name=cluster_name, record_trace=record_trace,
         )
         return result, _completed_outcome(result)
-    base = simulate(
-        grouping, spec, timing,
-        cluster_name=cluster_name, record_trace=True,
+    return _simulate(
+        grouping, spec, timing, faults,
+        cluster_name=cluster_name, record_trace=record_trace,
     )
-    return faults.apply(base, keep_records=record_trace)

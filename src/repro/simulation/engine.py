@@ -44,15 +44,22 @@ How it runs
 
 Decision stream
     There is one engine, and it runs whether or not anyone is watching.
-    When ``record_trace`` is set or :mod:`repro.obs` is enabled, the main
-    phase also appends one ``(start, end, group, scenario)`` tuple per
-    dispatch to a plain list; everything observable is derived from that
-    list after the run.  Task records number each scenario's dispatches
-    to get the month and replay the post list, in ``(ready, scenario,
-    month)`` order, on a ``(available_from, proc_id)`` heap to get
-    processor ids; the metrics read task counts per group off the same
-    list.  Observability only decides whether the list is built — never
-    which loop runs.
+    When ``record_trace`` is set, a live fault hook is passed or
+    :mod:`repro.obs` is enabled, the main phase also appends one
+    ``(start, end, group, scenario)`` tuple per dispatch to a plain list;
+    everything observable is derived from that list after the run.  The
+    metrics read task counts per group off it.  Traces and faults read
+    it as numpy columns ``start, end, scenario, n_procs`` (:func:`_columns`):
+    mains in dispatch order, then posts in ``(ready, scenario, month)``
+    order, whose ends are the post merge's own and whose starts follow
+    from those ends with one sort.  A live hook warps the columns in one
+    kernel (:meth:`repro.faults.hooks.FaultHook.warp_schedule`) —
+    bit-for-bit a record-by-record warp — and task records are built,
+    from the warped or plain columns, only when ``record_trace`` asks for
+    them: a scenario's dispatches counted in order give the months, and
+    a ``(available_from, proc_id)`` heap replay of the post ends gives
+    processor ids.  Observability only decides whether the list is
+    built — never which loop runs.
 
     The makespan always comes from the float-only post merge.  Processor
     identity never changes timing, and carrying ``(time, proc)`` tuples
@@ -61,15 +68,17 @@ Decision stream
     asked for.  The original
     linear-scan loops live on in ``tests/simulation/reference_engine.py``
     as the differential oracle: the property suite pins makespans and
-    the full records tuple bit for bit against them.
+    the full records tuple bit for bit against them, and pins the
+    fault warp against the record-by-record warp of
+    ``tests/faults/reference_warp.py``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
-from typing import TYPE_CHECKING
+from itertools import chain
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -83,7 +92,7 @@ from repro.simulation.groups import post_pool_range, proc_ranges
 from repro.workflow.ocean_atmosphere import EnsembleSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.faults.hooks import FaultHook
+    from repro.faults.hooks import FaultHook, FaultOutcome
 
 __all__ = ["simulate", "simulate_on_cluster"]
 
@@ -127,57 +136,22 @@ def simulate(
     faults:
         A compiled :class:`~repro.faults.hooks.FaultHook` for this
         cluster.  A no-op hook (or ``None``) is ignored, so fault-free
-        results stay bit-for-bit identical.  A live hook simulates the
-        fault-free schedule with records and returns it warped and
-        crash-truncated; use
+        results stay bit-for-bit identical.  A live hook warps the
+        fault-free schedule and returns it crash-truncated; use
         :func:`repro.faults.hooks.simulate_with_faults` when the
         checkpoint-level :class:`~repro.faults.hooks.FaultOutcome` is
         needed too.
     """
-    if faults is not None and not faults.is_noop:
-        base = simulate(
-            grouping,
-            spec,
-            timing,
-            cluster_name=cluster_name,
-            record_trace=True,
-            enforce_cardinality=enforce_cardinality,
-        )
-        warped, _outcome = faults.apply(base, keep_records=record_trace)
-        return warped
-    if enforce_cardinality:
-        grouping.validate_against(timing, spec.scenarios)
-    else:
-        for g in grouping.group_sizes:
-            timing.validate_group(g)
-
-    group_times = [timing.main_time(g) for g in grouping.group_sizes]
-    tp = timing.post_time()
-
-    observed = obs.enabled()
-    stream: list[_Dispatch] | None = [] if record_trace or observed else None
-    ready_times, group_last_end = _run_main_phase(spec, group_times, stream)
-    main_makespan = ready_times[-1] if ready_times else 0.0
-    post_makespan = _run_post_phase(grouping, ready_times, group_last_end, tp)
-    makespan = max(main_makespan, post_makespan)
-
-    records: tuple[TaskRecord, ...] = ()
-    if stream is not None:
-        if record_trace:
-            records = _records(grouping, spec, stream, group_last_end, tp)
-        if observed:
-            _publish_stats(
-                stream, cluster_name, group_times, group_last_end,
-                makespan, main_makespan,
-            )
-    return SimulationResult(
-        makespan=makespan,
-        main_makespan=main_makespan,
-        grouping=grouping,
-        spec=spec,
+    result, _outcome = _simulate(
+        grouping,
+        spec,
+        timing,
+        None if faults is None or faults.is_noop else faults,
         cluster_name=cluster_name,
-        records=records,
+        record_trace=record_trace,
+        enforce_cardinality=enforce_cardinality,
     )
+    return result
 
 
 def simulate_on_cluster(
@@ -202,47 +176,195 @@ def simulate_on_cluster(
     )
 
 
+def _simulate(
+    grouping: Grouping,
+    spec: EnsembleSpec,
+    timing: TimingModel,
+    faults: "FaultHook | None",
+    *,
+    cluster_name: str = "cluster",
+    record_trace: bool = False,
+    enforce_cardinality: bool = True,
+) -> "tuple[SimulationResult, FaultOutcome | None]":
+    """Run the engine; ``faults`` is a live hook or ``None``.
+
+    Returns the result and, under a live hook, its
+    :class:`~repro.faults.hooks.FaultOutcome` (``None`` otherwise).
+    Callers drop no-op hooks before they get here.
+    """
+    if enforce_cardinality:
+        grouping.validate_against(timing, spec.scenarios)
+    else:
+        for g in grouping.group_sizes:
+            timing.validate_group(g)
+
+    group_times = [timing.main_time(g) for g in grouping.group_sizes]
+    tp = timing.post_time()
+
+    observed = obs.enabled()
+    columns = record_trace or faults is not None
+    stream: list[_Dispatch] | None = [] if columns or observed else None
+    ready_times, group_last_end = _run_main_phase(spec, group_times, stream)
+    post_ends = _run_post_phase(grouping, ready_times, group_last_end, tp)
+    main_makespan = ready_times[-1] if ready_times else 0.0
+    makespan = max(main_makespan, post_ends[-1] if post_ends else 0.0)
+
+    records: tuple[TaskRecord, ...] = ()
+    outcome: FaultOutcome | None = None
+    if stream is not None:
+        if observed:
+            _publish_stats(
+                stream, cluster_name, group_times, group_last_end,
+                makespan, main_makespan,
+            )
+        if columns:
+            cols = _columns(grouping, stream, post_ends, group_last_end)
+            start, end = cols.start, cols.end
+            alive: np.ndarray | None = None
+            if faults is not None:
+                warp, outcome = faults.warp_schedule(
+                    cols.start, cols.end, cols.n_procs, cols.scenario,
+                    len(stream), spec, cluster_name,
+                )
+                makespan, main_makespan = warp.makespan, warp.main_makespan
+                start, end, alive = warp.start, warp.end, warp.alive
+            if record_trace:
+                records = _records(
+                    grouping, spec, stream, cols.post_of, post_ends,
+                    group_last_end, start, end, alive,
+                )
+    result = SimulationResult(
+        makespan=makespan,
+        main_makespan=main_makespan,
+        grouping=grouping,
+        spec=spec,
+        cluster_name=cluster_name,
+        records=records,
+    )
+    return result, outcome
+
+
+class _Columns(NamedTuple):
+    """The schedule as columns: mains in dispatch order, then posts."""
+
+    start: np.ndarray
+    end: np.ndarray
+    scenario: np.ndarray
+    n_procs: np.ndarray
+    #: Dispatch index of each post's main task, in post order.
+    post_of: np.ndarray
+
+
+def _columns(
+    grouping: Grouping,
+    stream: list[_Dispatch],
+    post_ends: list[float],
+    group_last_end: list[float],
+) -> _Columns:
+    """Turn the decision stream and the post merge into task columns.
+
+    Posts run in ``(ready, scenario, month)`` order: a stable sort of the
+    dispatches by ``(end, scenario)`` — a scenario's months are
+    dispatched in order — whose ends are the merge's ready times, sorted.
+    """
+    mains = np.fromiter(
+        chain.from_iterable(stream), dtype=float, count=4 * len(stream)
+    ).reshape(-1, 4)
+    main_end = mains[:, 1]
+    group = mains[:, 2].astype(np.intp)
+    scenario = mains[:, 3].astype(np.intp)
+    post_of = np.lexsort((scenario, main_end))
+    ends = np.array(post_ends)
+    post_start = _post_starts(grouping, main_end[post_of], ends, group_last_end)
+    sizes = np.array(grouping.group_sizes, dtype=np.intp)
+    return _Columns(
+        start=np.concatenate((mains[:, 0], post_start)),
+        end=np.concatenate((main_end, ends)),
+        scenario=np.concatenate((scenario, scenario[post_of])),
+        n_procs=np.concatenate((sizes[group], np.ones(len(ends), np.intp))),
+        post_of=post_of,
+    )
+
+
+def _post_starts(
+    grouping: Grouping,
+    ready: np.ndarray,
+    ends: np.ndarray,
+    group_last_end: list[float],
+) -> np.ndarray:
+    """The start of every post of :func:`_run_post_phase`, in its order.
+
+    The merge keeps only ends; a post starts at ``max(free, ready)``,
+    ``free`` being the processor time it took.  Posts take free times in
+    nondecreasing order and every end is at least the free time it
+    followed, so the free times taken are the ``n`` smallest of the
+    initial pool and the ``n`` post ends together — a sort away, float
+    for float the proc-id heap replay's.
+    """
+    pool = np.repeat(
+        [0.0, *group_last_end], [grouping.post_pool, *grouping.group_sizes]
+    )
+    free = np.sort(np.concatenate((pool, ends)))[: len(ends)]
+    return np.maximum(free, ready)
+
+
 def _records(
     grouping: Grouping,
     spec: EnsembleSpec,
     stream: list[_Dispatch],
+    post_of: np.ndarray,
+    post_ends: list[float],
     group_last_end: list[float],
-    tp: float,
+    start: np.ndarray,
+    end: np.ndarray,
+    alive: np.ndarray | None,
 ) -> tuple[TaskRecord, ...]:
-    """Rebuild the schedule's task records from the decision stream.
+    """Build the task records of the (possibly warped) columns.
 
-    Main records follow dispatch order; a scenario's months are its
-    dispatches counted in order, because a scenario is only dispatched
-    once its previous month has finished.  Post records replay the ready
-    list in ``(ready, scenario, month)`` order on a ``(available_from,
-    proc_id)`` heap — the float-only post merge takes the same free
-    times, so start and end times match the makespan it reported.
+    ``start``, ``end`` and ``alive`` (``None``: every task) follow
+    :func:`_columns`' row order.  A scenario's months are its dispatches
+    counted in order, because a scenario is only dispatched once its
+    previous month has finished.  Processor ids replay the fault-free
+    post ends, in post order, on a ``(available_from, proc_id)`` heap:
+    each post takes the earliest free processor, the lowest id on ties.
     """
     ranges = proc_ranges(grouping)
+    n = len(stream)
+    starts, ends = start.tolist(), end.tolist()
+    kept = [True] * len(ends) if alive is None else alive.tolist()
     months = [0] * spec.scenarios
+    month_of: list[int] = []
     main: list[TaskRecord] = []
-    ready: list[tuple[float, int, int]] = []
-    for start, end, group, scenario in stream:
+    for i, (_start, _end, group, scenario) in enumerate(stream):
         month = months[scenario]
         months[scenario] = month + 1
-        rng = ranges[group]
-        main.append(
-            TaskRecord("main", scenario, month, start, end, group, rng.start, rng.stop)
-        )
-        ready.append((end, scenario, month))
-    ready.sort()
+        month_of.append(month)
+        if kept[i]:
+            rng = ranges[group]
+            main.append(
+                TaskRecord(
+                    "main", scenario, month, starts[i], ends[i],
+                    group, rng.start, rng.stop,
+                )
+            )
 
     pool = [(0.0, proc) for proc in post_pool_range(grouping)]
     for group, rng in enumerate(ranges):
         pool.extend((group_last_end[group], proc) for proc in rng)
     heapq.heapify(pool)
     posts: list[TaskRecord] = []
-    for ready_at, scenario, month in ready:
-        free_at, proc = heapq.heappop(pool)
-        start = max(free_at, ready_at)
-        end = start + tp
-        heapq.heappush(pool, (end, proc))
-        posts.append(TaskRecord("post", scenario, month, start, end, -1, proc, proc + 1))
+    for row, (m, free_end) in enumerate(
+        zip(post_of.tolist(), post_ends), start=n
+    ):
+        proc = pool[0][1]
+        heapq.heapreplace(pool, (free_end, proc))
+        if kept[row]:
+            posts.append(
+                TaskRecord(
+                    "post", stream[m][3], month_of[m], starts[row], ends[row],
+                    -1, proc, proc + 1,
+                )
+            )
     return tuple(main + posts)
 
 
@@ -472,8 +594,8 @@ def _run_post_phase(
     ready_times: list[float],
     group_last_end: list[float],
     tp: float,
-) -> float:
-    """The post phase as a heap-free merge; returns its makespan.
+) -> list[float]:
+    """The post phase as a heap-free merge; returns the post ends.
 
     Each post takes the earliest free processor.  Processor identity
     never affects timing, so only free times are kept: the sorted
@@ -486,8 +608,9 @@ def _run_post_phase(
     smaller of the two heads, and the last end is the makespan.  Posts
     of equal ready time are interchangeable: whatever order they claim
     the two earliest processors in, the resulting free-time and end-time
-    multisets are identical, hence the same makespan as the proc-id
-    replay.
+    multisets are identical, hence the same ends, in the same order, as
+    the proc-id replay.  The FIFO is the returned list itself, read from
+    a head index.
     """
     pool: list[float] = [0.0] * grouping.post_pool
     for group, size in enumerate(grouping.group_sizes):
@@ -499,22 +622,21 @@ def _run_post_phase(
                 "no processor ever becomes available for post-processing "
                 "tasks — grouping has no post pool and no groups?"
             )
-        return 0.0
+        return []
 
     pool.sort()
     pool.append(math.inf)
     # The FIFO holds as many ends as pool entries claimed, so it is
     # never empty once the first post has taken ``pool[0]``.
-    ends: deque[float] = deque()
-    append, popleft = ends.append, ends.popleft
-    i = 0
-    end = 0.0
+    ends: list[float] = []
+    append = ends.append
+    i = head = 0
     for ready in ready_times:
         free_at = pool[i]
-        if i and ends[0] < free_at:
-            free_at = popleft()
+        if i and ends[head] < free_at:
+            free_at = ends[head]
+            head += 1
         else:
             i += 1
-        end = (free_at if free_at > ready else ready) + tp
-        append(end)
-    return end
+        append((free_at if free_at > ready else ready) + tp)
+    return ends

@@ -11,6 +11,7 @@ from repro.faults.trace import FaultEvent, FaultKind, FaultTrace
 from repro.platform.timing import TableTimingModel
 from repro.simulation.engine import simulate
 from repro.workflow.ocean_atmosphere import EnsembleSpec
+from tests.faults.reference_warp import reference_apply
 
 
 def _flat(tg: float = 100.0, tp: float = 10.0) -> TableTimingModel:
@@ -108,13 +109,22 @@ class TestEngineIntegration:
         assert warped.makespan == pytest.approx(plain.makespan + 60.0)
 
     def test_apply_requires_records(self) -> None:
+        # A record-level warp needs the tasks: the record-by-record
+        # oracle and the DAG warp both refuse an untraced result.
+        from repro.simulation.dag_engine import simulate_dag
+        from repro.workflow.ocean_atmosphere import fused_scenario_dag
+
         result = simulate(
             Grouping((4,), 0, 4), EnsembleSpec(1, 2), _flat(),
             record_trace=False,
         )
         hook = FaultHook.from_events([_outage(10.0, 5.0)])
         with pytest.raises(SimulationError):
-            hook.apply(result)
+            reference_apply(hook, result)
+        dag = fused_scenario_dag(2)
+        untraced = simulate_dag(dag, Grouping((4,), 0, 4), _flat())
+        with pytest.raises(SimulationError):
+            hook.apply_dag(untraced, dag)
 
 
 class TestCrashOutcome:

@@ -10,6 +10,7 @@ from repro.cli import main
 from repro.exceptions import ConfigurationError
 from repro.obs.bench import (
     BENCH_SCHEMA,
+    BenchResult,
     BenchSpec,
     baseline_from_results,
     bench_specs,
@@ -233,6 +234,28 @@ class TestRegistry:
             assert entry["unit"] == spec.unit
 
 
+def _result_from_artifact(doc) -> BenchResult:
+    """The :class:`BenchResult` a ``repro.bench/1`` artifact was written from."""
+    return BenchResult(
+        name=doc["name"],
+        unit=doc["unit"],
+        direction=doc["direction"],
+        value=doc["value"],
+        p25=doc["p25"],
+        p75=doc["p75"],
+        low=doc["min"],
+        high=doc["max"],
+        mean=doc["mean"],
+        samples=tuple(doc["samples"]),
+        repetitions=doc["repetitions"],
+        warmup=doc["warmup"],
+        seed=doc["seed"],
+        machine=doc["machine"],
+        library_version=doc["library_version"],
+        unix_time=doc["unix_time"],
+    )
+
+
 class TestBenchCli:
     def test_cli_writes_artifacts_and_gates(self, tmp_path, capsys) -> None:
         out = tmp_path / "artifacts"
@@ -256,7 +279,17 @@ class TestBenchCli:
         for path in artifacts:
             load_bench_artifact(path)  # schema-validated
 
-        assert main(base_args) == 0  # within budget vs own baseline
+        # Within budget vs its own baseline: the first run's artifacts,
+        # gated against the baseline they wrote, drift by exactly zero.
+        # (Re-timing a single-sample --quick run would gate noise.)
+        results = [
+            _result_from_artifact(load_bench_artifact(path))
+            for path in artifacts
+        ]
+        rows = compare_to_baseline(results, load_baseline(baseline))
+        assert {row.name for row in rows} == {r.name for r in results}
+        assert all(row.ratio == 1.0 and not row.regressed for row in rows)
+
         assert main([*base_args, "--inject-slowdown", "2"]) == 2
         captured = capsys.readouterr()
         assert "REGRESSED" in captured.out

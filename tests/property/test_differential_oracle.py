@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -319,6 +320,8 @@ def test_fast_path_matches_reference_bit_for_bit(instance) -> None:
 def test_post_merge_matches_reference_heap(sizes, post_pool, data) -> None:
     """The heap-free post merge against the oracle's proc-id heap.
 
+    Every post end, and every start rebuilt from the ends, must match.
+
     Group release times and ready times are drawn independently of any
     main phase — releases before, among and after the ready times, with
     repeats — so the merge meets pools no simulation would build.
@@ -332,15 +335,21 @@ def test_post_merge_matches_reference_heap(sizes, post_pool, data) -> None:
     group_last_end = [data.draw(st.sampled_from(stamps)) for _ in sizes]
     ready = sorted(data.draw(st.lists(st.sampled_from(stamps), max_size=120)))
     tp = data.draw(st.sampled_from([0.5, 3.0, 50.0, 400.0]))
-    _records, expected = reference_engine._run_post_phase(
+    records, expected = reference_engine._run_post_phase(
         grouping,
         [(r, i, 0, r) for i, r in enumerate(ready)],
         group_last_end,
         proc_ranges(grouping),
         tp,
-        False,
+        True,
     )
-    assert engine._run_post_phase(grouping, ready, group_last_end, tp) == expected
+    ends = engine._run_post_phase(grouping, ready, group_last_end, tp)
+    assert (ends[-1] if ends else 0.0) == expected
+    assert ends == [r.end for r in records]
+    starts = engine._post_starts(
+        grouping, np.array(ready), np.array(ends), group_last_end
+    )
+    assert starts.tolist() == [r.start for r in records]
 
 
 def _records_digest(records) -> str:

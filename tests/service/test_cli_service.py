@@ -22,6 +22,16 @@ def handle(tmp_path):
     h.stop()
 
 
+@pytest.fixture
+def fleet_handle(tmp_path):
+    """A fleet-only server: no in-process workers, so queued runs stay queued."""
+    h = serve_in_thread(
+        tmp_path / "fleet.db", queue_config=QueueConfig(max_workers=0)
+    )
+    yield h
+    h.stop()
+
+
 def _run(capsys, *argv: str) -> str:
     assert main(list(argv)) == 0
     return capsys.readouterr().out
@@ -71,20 +81,23 @@ class TestAgainstLiveServer:
         out = _run(capsys, "result", *_endpoint(handle), run_id)
         assert '"figure": "generic"' in out
 
-    def test_runs_table_and_cancel(self, capsys, handle) -> None:
+    def test_runs_table_and_cancel(self, capsys, fleet_handle) -> None:
+        # Nothing runs on a fleet-only server: the victim is still
+        # queued when the cancel arrives, by construction.
+        endpoint = _endpoint(fleet_handle)
         blocker = _run(
-            capsys, "submit", *_endpoint(handle),
-            "--kind", "sleep", "--param", "seconds=5",
+            capsys, "submit", *endpoint,
+            "--kind", "sleep", "--param", "seconds=0",
         ).split()[-1]
         victim = _run(
-            capsys, "submit", *_endpoint(handle),
+            capsys, "submit", *endpoint,
             "--kind", "sleep", "--param", "seconds=0",
         ).split()[-1]
 
-        out = _run(capsys, "cancel", *_endpoint(handle), victim)
+        out = _run(capsys, "cancel", *endpoint, victim)
         assert "cancelled" in out
 
-        out = _run(capsys, "runs", *_endpoint(handle))
+        out = _run(capsys, "runs", *endpoint)
         assert blocker in out
         assert victim in out
         assert "server:" in out

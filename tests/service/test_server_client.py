@@ -74,10 +74,16 @@ class TestOperations:
 
                 listed = client.runs(state="done")
                 assert run_id in {r["run_id"] for r in listed}
+        finally:
+            handle.stop()
 
-                # A queued run behind a long sleep can be cancelled;
-                # its result is then unavailable.
-                blocker = client.submit("sleep", {"seconds": 5.0})
+        # A queued run can be cancelled; its result is then unavailable.
+        # A fleet-only server has no in-process workers, so both runs
+        # stay queued by construction, however long the cancel takes.
+        fleet = _serve(db_path.with_name("fleet.db"), max_workers=0)
+        try:
+            with ServiceClient(port=fleet.port) as client:
+                blocker = client.submit("sleep", {"seconds": 0})
                 victim = client.submit("sleep", {"seconds": 0})
                 cancelled = client.cancel(victim)
                 assert cancelled["state"] == "cancelled"
@@ -86,7 +92,7 @@ class TestOperations:
                 assert exc.value.code == "not-finished"
                 assert client.status(blocker)["state"] in {"queued", "running"}
         finally:
-            handle.stop()
+            fleet.stop()
 
 
 class TestAcceptance:
