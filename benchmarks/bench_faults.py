@@ -51,13 +51,20 @@ N_FAILURES = 100
 THROUGHPUT_FLOOR = 1.0
 
 
-def _time(fn, repeats: int) -> float:
-    best = float("inf")
+def _time_pair(first, second, repeats: int) -> tuple[float, float]:
+    """Best-of-``repeats`` seconds of two arms, timed rep by rep in turn.
+
+    Alternating the arms exposes both to the same drift in machine
+    speed; timing one arm's block after the other's lets a slow spell
+    land on one arm only and read as overhead.
+    """
+    best = [float("inf"), float("inf")]
     for _ in range(repeats):
-        started = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - started)
-    return best
+        for arm, fn in enumerate((first, second)):
+            started = time.perf_counter()
+            fn()
+            best[arm] = min(best[arm], time.perf_counter() - started)
+    return best[0], best[1]
 
 
 def test_noop_hook_overhead_under_five_percent() -> None:
@@ -75,8 +82,7 @@ def test_noop_hook_overhead_under_five_percent() -> None:
             simulate(grouping, spec, cluster.timing, faults=noop)
 
     fast()  # warm any lazy state before timing
-    fast_s = _time(fast, repeats=5)
-    hooked_s = _time(hooked, repeats=5)
+    fast_s, hooked_s = _time_pair(fast, hooked, repeats=5)
     overhead = (hooked_s - fast_s) / fast_s
     print(
         f"\nnoop-hook overhead: fast={fast_s * 1e3:.2f} ms "
@@ -121,8 +127,7 @@ def test_live_warp_within_five_plain_simulations() -> None:
             )
 
     plain()  # warm any lazy state before timing
-    plain_s = _time(plain, repeats=5)
-    live_s = _time(live, repeats=5)
+    plain_s, live_s = _time_pair(plain, live, repeats=5)
     ratio = live_s / plain_s
     print(
         f"\nlive warp: plain={plain_s * 1e3:.2f} ms "

@@ -17,9 +17,9 @@ natural recovery strategy on top of the paper's machinery:
 4. scenarios are reassigned greedily, longest-remaining-first, each to
    the cluster minimizing the resulting finish time — Algorithm 1's
    rule generalized to unequal chain lengths, with each candidate
-   evaluated *exactly* by the DAG-level simulator
-   (:mod:`repro.simulation.dag_engine`), since remaining chains have
-   different lengths and the rectangular engine no longer applies;
+   evaluated *exactly* by the event engine
+   (:mod:`repro.simulation.engine`) run with one month count per
+   remaining chain;
 5. moving a scenario pays the restart-archive migration penalty of
    :class:`~repro.workflow.data.DataTransferModel`.
 
@@ -33,8 +33,11 @@ import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro import constants, obs
-from repro.core.heuristics import HeuristicName
+from repro.core.grouping import Grouping
+from repro.core.heuristics import HeuristicName, plan_grouping
 from repro.core.knapsack_grouping import knapsack_grouping
 from repro.core.performance_vector import performance_vector
 from repro.core.repartition import Repartition, repartition_dags
@@ -42,11 +45,18 @@ from repro.exceptions import MiddlewareError
 from repro.faults.trace import FaultEvent, FaultKind, FaultTrace
 from repro.platform.cluster import ClusterSpec
 from repro.platform.grid import GridSpec
-from repro.simulation.dag_engine import simulate_dag
-from repro.simulation.engine import simulate
-from repro.workflow.dag import DAG
+from repro.platform.timing import TimingModel
+from repro.simulation.engine import _chain_schedule
 from repro.workflow.data import DataTransferModel
-from repro.workflow.ocean_atmosphere import EnsembleSpec, fused_scenario_dag
+from repro.workflow.ocean_atmosphere import EnsembleSpec
+
+# perfbench's ``campaign_faults`` workload times recovery's layers by
+# interposing on these module attributes by name, and fails loudly on a
+# missing one; they stay bound until its spans move to recovery's own
+# steps (ROADMAP item 1).
+from repro.simulation.dag_engine import simulate_dag  # noqa: F401
+from repro.simulation.engine import simulate  # noqa: F401
+from repro.workflow.ocean_atmosphere import fused_scenario_dag  # noqa: F401
 
 __all__ = [
     "ClusterFailure",
@@ -120,14 +130,15 @@ class RecoveryPlan:
         return "\n".join(lines)
 
 
-def _months_done_at(
-    cluster: ClusterSpec,
-    n_scenarios: int,
-    months: int,
-    heuristic: HeuristicName,
+def _chains_at(
+    timing: TimingModel,
+    grouping: Grouping,
+    months: list[int],
+    tp: float,
+    offset: float,
     at_time: float,
-) -> tuple[dict[int, int], dict[int, int], float]:
-    """Replay a cluster's schedule; count safe months per local scenario.
+) -> tuple[list[int], list[int], float, int]:
+    """Progress at ``at_time`` of fused chains scheduled from ``offset``.
 
     Task outputs ship to shared storage on completion (§4.1's data
     model), so a month is *resumable* once its coupled run finished: the
@@ -135,58 +146,72 @@ def _months_done_at(
     had not finished are lost and must be re-executed on a survivor —
     their inputs (the completed mains' diagnostics) are on shared
     storage too.  Returns ``(safe months, pending posts, lost in-flight
-    work seconds, in-flight months destroyed)`` with scenario ids
-    cluster-local (0-based within the cluster's assignment); the lost
-    term counts interrupted mains and posts alike.
-    """
-    from repro.core.heuristics import plan_grouping
+    work seconds, in-flight months destroyed)``, the lists in chain
+    order; the lost term counts interrupted mains and posts alike.
 
-    spec = EnsembleSpec(n_scenarios, months)
-    grouping = plan_grouping(cluster, spec, heuristic)
-    result = simulate(
-        grouping, spec, cluster.timing, cluster_name=cluster.name,
-        record_trace=True,
+    A task finished when it ended by ``at_time`` and was cut when it
+    straddles it — the masks of
+    :meth:`~repro.faults.hooks.FaultHook.warp`, whose record-order sum
+    of the lost work this repeats.  A chain's months end in order and
+    each post follows its month, so pending posts are the months done
+    less the posts done.
+    """
+    _makespan, cols = _chain_schedule(
+        grouping, timing, months, tp, columns=True
     )
-    finished: dict[tuple[str, int, int], bool] = {}
+    assert cols is not None
+    n = len(cols.post_of)
+    start = cols.start + offset
+    finished = cols.end + offset <= at_time
+    cut = np.flatnonzero(~finished & (start < at_time))
+    done = np.bincount(cols.scenario[:n][finished[:n]], minlength=len(months))
+    posts = np.bincount(cols.scenario[n:][finished[n:]], minlength=len(months))
     lost = 0.0
-    in_flight = 0
-    for record in result.records:
-        finished[(record.kind, record.scenario, record.month)] = (
-            record.end <= at_time
-        )
-        if record.start < at_time < record.end:
-            lost += (at_time - record.start) * record.n_procs
-            if record.kind == "main":
-                in_flight += 1
-    done: dict[int, int] = {}
-    pending_posts: dict[int, int] = {}
-    for scenario in range(n_scenarios):
-        done[scenario] = sum(
-            1
-            for month in range(months)
-            if finished.get(("main", scenario, month))
-        )
-        pending_posts[scenario] = sum(
-            1
-            for month in range(done[scenario])
-            if not finished.get(("post", scenario, month))
-        )
-    return done, pending_posts, lost, in_flight
-
-
-def _recovery_dag(chains: dict[int, int]) -> DAG:
-    """A DAG of the remaining months of the given scenarios.
-
-    ``chains[scenario] = remaining`` months; each becomes an independent
-    fused chain (month indices are relabelled 0..remaining-1 — only the
-    count matters to the simulator).
-    """
-    dag = DAG()
-    for index, remaining in enumerate(
-        chains[s] for s in sorted(chains)
+    for began, procs in zip(
+        start[cut].tolist(), cols.n_procs[cut].tolist(), strict=True
     ):
-        dag.merge(fused_scenario_dag(remaining, scenario=index))
-    return dag
+        lost += (at_time - began) * procs
+    in_flight = int(np.count_nonzero(cut < n))
+    return done.tolist(), (done - posts).tolist(), lost, in_flight
+
+
+def _months_done_at(
+    cluster: ClusterSpec,
+    n_scenarios: int,
+    months: int,
+    heuristic: HeuristicName,
+    at_time: float,
+) -> tuple[list[int], list[int], float, int]:
+    """:func:`_chains_at` of a cluster's own rectangular schedule.
+
+    Scenario ids are cluster-local (0-based within its assignment).
+    """
+    spec = EnsembleSpec(n_scenarios, months)
+    return _chains_at(
+        cluster.timing,
+        plan_grouping(cluster, spec, heuristic),
+        [months] * n_scenarios,
+        cluster.timing.post_time(),
+        0.0,
+        at_time,
+    )
+
+
+def _chain_plan(
+    cluster: ClusterSpec, chains: dict[int, int]
+) -> tuple[Grouping, list[int], float]:
+    """Grouping, month counts and post length of a recovery batch.
+
+    ``chains[scenario] = remaining`` months; each becomes a fused chain,
+    in scenario-id order (ties go to the lower id), run under a knapsack
+    grouping for the chain count.  The post length is the nominal
+    ``POST_SECONDS`` on the cluster's speed scale, a product that can
+    round differently from ``cluster.post_time()`` in the last bit.
+    """
+    months = [chains[s] for s in sorted(chains)]
+    grouping = knapsack_grouping(cluster, EnsembleSpec(len(months), max(months)))
+    seq_scale = cluster.post_time() / constants.POST_SECONDS
+    return grouping, months, constants.POST_SECONDS * seq_scale
 
 
 def _appended_finish(
@@ -200,22 +225,16 @@ def _appended_finish(
 
     Chains (remaining months) start once the cluster's own share is done
     and the restart data has arrived; their makespan is evaluated
-    exactly with the DAG engine under a knapsack grouping for the chain
-    count.  Lost archive (post) tasks of already-completed months then
-    fill the whole cluster in ``⌈n/R⌉`` slices of ``TP``.
+    exactly by the event engine (see :func:`_chain_plan`).  Lost archive
+    (post) tasks of already-completed months then fill the whole cluster
+    in ``⌈n/R⌉`` slices of ``TP``.
     """
     if not chains and pending_posts == 0:
         return base_finish
     finish = base_finish + migration_seconds
     if chains:
-        spec = EnsembleSpec(len(chains), max(chains.values()))
-        grouping = knapsack_grouping(cluster, spec)
-        dag = _recovery_dag(chains)
-        seq_scale = cluster.post_time() / constants.POST_SECONDS
-        result = simulate_dag(
-            dag, grouping, cluster.timing, seq_scale=seq_scale
-        )
-        finish += result.makespan
+        grouping, months, tp = _chain_plan(cluster, chains)
+        finish += _chain_schedule(grouping, cluster.timing, months, tp)[0]
     if pending_posts:
         finish += (
             math.ceil(pending_posts / cluster.resources) * cluster.post_time()
@@ -234,180 +253,54 @@ def run_campaign_with_failure(
 ) -> RecoveryPlan:
     """Run a campaign, fail one cluster mid-flight, and recover.
 
+    The one-crash case of :func:`run_campaign_with_faults`; the plan
+    lists every scenario of the failed cluster, those that had already
+    finished with all ``months`` safe and nothing pending.
+
     Raises :class:`MiddlewareError` when the named cluster is not in the
     grid, is the only cluster, or fails after its work already finished
     (nothing to recover — the caller should handle that case directly).
     """
-    heuristic = HeuristicName(heuristic)
-    link = link if link is not None else DataTransferModel()
+    name = failure.cluster_name
     names = list(grid.names)
-    if failure.cluster_name not in names:
+    if name not in names:
         raise MiddlewareError(
-            f"cannot fail unknown cluster {failure.cluster_name!r}; grid "
-            f"has {names}"
+            f"cannot fail unknown cluster {name!r}; grid has {names}"
         )
     if len(grid) < 2:
         raise MiddlewareError(
             "recovery needs at least one surviving cluster"
         )
-
-    # Original campaign (Section 5).
-    spec = EnsembleSpec(scenarios, months)
-    vectors = [performance_vector(c, spec, heuristic) for c in grid]
-    repartition = repartition_dags(vectors, scenarios)
-    finish = {
-        name: (vectors[i][repartition.counts[i] - 1] if repartition.counts[i] else 0.0)
-        for i, name in enumerate(names)
-    }
-    original_makespan = repartition.makespan
-
-    failed_index = names.index(failure.cluster_name)
-    failed_cluster = grid[failed_index]
-    local = repartition.scenarios_on(failed_index)
+    crash = FaultEvent(FaultKind.CRASH, name, failure.at_time)
+    report = run_campaign_with_faults(
+        grid, scenarios, months, FaultTrace.of([crash]),
+        heuristic=heuristic, link=link,
+    )
+    local = report.original_repartition.scenarios_on(names.index(name))
     if not local:
         raise MiddlewareError(
-            f"cluster {failure.cluster_name!r} was assigned no scenarios; "
-            f"its failure is free"
+            f"cluster {name!r} was assigned no scenarios; its failure is free"
         )
-    if failure.at_time >= finish[failure.cluster_name]:
+    outcome = report.events[0]
+    if not outcome.applied:
         raise MiddlewareError(
-            f"cluster {failure.cluster_name!r} finished at "
-            f"{finish[failure.cluster_name]:.0f}s, before the failure at "
-            f"{failure.at_time:.0f}s — nothing to recover"
+            f"cluster {name!r} finished at {report.cluster_finish[name]:.0f}s, "
+            f"before the failure at {failure.at_time:.0f}s — nothing to recover"
         )
-
-    # What survived on the failed cluster?
-    detection_started = time.perf_counter()
-    done_local, pending_local, lost, _in_flight = _months_done_at(
-        failed_cluster, len(local), months, heuristic, failure.at_time
-    )
-    completed = {
-        global_id: done_local[i] for i, global_id in enumerate(local)
-    }
-    pending = {
-        global_id: pending_local[i] for i, global_id in enumerate(local)
-    }
-    remaining = {
-        global_id: months - done for global_id, done in completed.items()
-        if months - done > 0
-    }
-    interrupted = sorted(
-        global_id
-        for global_id in completed
-        if remaining.get(global_id, 0) > 0 or pending[global_id] > 0
-    )
-    obs.inc("recovery.failures_detected", cluster=failure.cluster_name)
-    obs.log_event(
-        _log, "recovery.failure_detected",
-        cluster=failure.cluster_name,
-        at_time_s=failure.at_time,
-        interrupted_scenarios=interrupted,
-        lost_work_processor_seconds=lost,
-        detection_seconds=time.perf_counter() - detection_started,
-    )
-
-    # Greedy reassignment, longest-remaining first, exact evaluation.
-    survivors = [
-        (name, grid[i]) for i, name in enumerate(names) if i != failed_index
-    ]
-    assigned: dict[str, dict[int, int]] = {name: {} for name, _ in survivors}
-    assigned_posts: dict[str, int] = {name: 0 for name, _ in survivors}
-    reassignment: dict[int, str] = {}
-    for scenario in sorted(
-        interrupted, key=lambda s: (-remaining.get(s, 0), s)
-    ):
-        decision_started = time.perf_counter()
-        migration = link.migration_penalty(completed[scenario])
-        best_name = None
-        best_finish = float("inf")
-        for name, cluster in survivors:
-            trial = dict(assigned[name])
-            if remaining.get(scenario, 0) > 0:
-                trial[scenario] = remaining[scenario]
-            candidate = _appended_finish(
-                cluster,
-                max(finish[name], failure.at_time),
-                trial,
-                assigned_posts[name] + pending[scenario],
-                migration,
-            )
-            if candidate < best_finish:
-                best_finish = candidate
-                best_name = name
-        assert best_name is not None
-        if remaining.get(scenario, 0) > 0:
-            assigned[best_name][scenario] = remaining[scenario]
-        assigned_posts[best_name] += pending[scenario]
-        reassignment[scenario] = best_name
-        # Recovery latency: how long past the failure instant this
-        # scenario's work now runs on its new home (simulated seconds).
-        recovery_latency = best_finish - failure.at_time
-        obs.inc(
-            "recovery.resubmissions",
-            source=failure.cluster_name,
-            target=best_name,
-        )
-        obs.observe(
-            "recovery.resubmission_latency_seconds",
-            recovery_latency,
-            target=best_name,
-        )
-        obs.log_event(
-            _log, "recovery.resubmission",
-            scenario=scenario,
-            source=failure.cluster_name,
-            target=best_name,
-            remaining_months=remaining.get(scenario, 0),
-            pending_posts=pending[scenario],
-            migration_penalty_s=migration,
-            projected_finish_s=best_finish,
-            recovery_latency_s=recovery_latency,
-            decision_seconds=time.perf_counter() - decision_started,
-        )
-
-    cluster_finish: dict[str, float] = {}
-    for name, cluster in survivors:
-        has_work = bool(assigned[name]) or assigned_posts[name] > 0
-        migration = max(
-            (
-                link.migration_penalty(completed[s])
-                for s, target in reassignment.items()
-                if target == name
-            ),
-            default=0.0,
-        )
-        cluster_finish[name] = _appended_finish(
-            cluster,
-            max(finish[name], failure.at_time) if has_work else finish[name],
-            assigned[name],
-            assigned_posts[name],
-            migration,
-        )
-
-    makespan = max(cluster_finish.values())
-    obs.set_gauge("recovery.makespan_seconds", makespan)
-    obs.set_gauge(
-        "recovery.delay_seconds", makespan - original_makespan
-    )
-    obs.log_event(
-        _log, "recovery.completed",
-        cluster=failure.cluster_name,
-        resubmissions=len(reassignment),
-        makespan_s=makespan,
-        original_makespan_s=original_makespan,
-        delay_s=makespan - original_makespan,
-        lost_work_processor_seconds=lost,
-    )
     return RecoveryPlan(
         failure=failure,
-        original_repartition=repartition,
-        original_makespan=original_makespan,
-        completed_months=completed,
-        pending_posts=pending,
-        reassignment=reassignment,
-        cluster_finish=cluster_finish,
-        makespan=makespan,
-        lost_work_seconds=lost,
+        original_repartition=report.original_repartition,
+        original_makespan=report.original_makespan,
+        completed_months={
+            s: outcome.completed_months.get(s, months) for s in local
+        },
+        pending_posts={s: outcome.pending_posts.get(s, 0) for s in local},
+        reassignment=report.reassignment,
+        cluster_finish={
+            n: f for n, f in report.cluster_finish.items() if n != name
+        },
+        makespan=report.makespan,
+        lost_work_seconds=report.lost_work_seconds,
     )
 
 
@@ -541,46 +434,17 @@ class _ClusterState:
 
 def _segment_progress_at(
     cluster: ClusterSpec, seg: _Segment, at_time: float
-) -> tuple[dict[int, int], dict[int, int], float, int]:
-    """Replay one recovery segment; count completion before ``at_time``.
+) -> tuple[list[int], list[int], float, int]:
+    """:func:`_chains_at` of one recovery segment, in ``sorted(chains)`` order.
 
-    Returns ``(months done, chain posts done, lost in-flight work
-    seconds, in-flight months destroyed)`` keyed by global scenario id.
     Carried archive re-executions run at the segment's tail and are
     accounted by the caller (all-done once the segment finishes,
     all-pending before).
     """
-    order = sorted(seg.chains)
-    done = {g: 0 for g in order}
-    posts_done = {g: 0 for g in order}
-    if not order:
-        return done, posts_done, 0.0, 0
-    spec = EnsembleSpec(len(seg.chains), max(seg.chains.values()))
-    grouping = knapsack_grouping(cluster, spec)
-    dag = _recovery_dag(seg.chains)
-    seq_scale = cluster.post_time() / constants.POST_SECONDS
-    result = simulate_dag(
-        dag, grouping, cluster.timing, seq_scale=seq_scale, record_trace=True
+    grouping, months, tp = _chain_plan(cluster, seg.chains)
+    return _chains_at(
+        cluster.timing, grouping, months, tp, seg.start + seg.migration, at_time
     )
-    offset = seg.start + seg.migration
-    lost = 0.0
-    in_flight = 0
-    for record in result.records:
-        scenario = order[dag.task(record.task_id).scenario]
-        start = offset + record.start
-        end = offset + record.end
-        if end <= at_time:
-            if record.kind == "main":
-                done[scenario] += 1
-            else:
-                posts_done[scenario] += 1
-        elif start < at_time:
-            lost += (at_time - start) * (
-                record.procs_stop - record.procs_start
-            )
-            if record.kind == "main":
-                in_flight += 1
-    return done, posts_done, lost, in_flight
 
 
 def run_campaign_with_faults(
@@ -736,14 +600,15 @@ def run_campaign_with_faults(
                     for g, chain in seg.chains.items():
                         completed_ev[g] = seg.completed_before[g] + chain
                     continue
-                done_g, posts_g, lost_s, in_flight_s = _segment_progress_at(
-                    state.cluster, seg, t
-                )
-                lost_ev += lost_s
-                in_flight_ev += in_flight_s
-                for g in seg.chains:
-                    completed_ev[g] = seg.completed_before[g] + done_g[g]
-                    pending_ev[g] += done_g[g] - posts_g[g]
+                if seg.chains:
+                    done_s, pending_s, lost_s, in_flight_s = (
+                        _segment_progress_at(state.cluster, seg, t)
+                    )
+                    lost_ev += lost_s
+                    in_flight_ev += in_flight_s
+                    for i, g in enumerate(sorted(seg.chains)):
+                        completed_ev[g] = seg.completed_before[g] + done_s[i]
+                        pending_ev[g] += pending_s[i]
                 for g, n in seg.carried_posts.items():
                     pending_ev[g] += n
 

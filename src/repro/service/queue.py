@@ -267,7 +267,8 @@ class JobQueue:
         self.kick()
 
     async def _run_job(self, record: RunRecord) -> None:
-        assert self._executor is not None
+        executor = self._executor
+        assert executor is not None
         loop = asyncio.get_running_loop()
         started = time.perf_counter()
         obs.observe(
@@ -303,7 +304,7 @@ class JobQueue:
                         }
                     dispatch_us = obs.tracer().now_us()
                     future = loop.run_in_executor(
-                        self._executor,
+                        executor,
                         execute_job_traced,
                         record.kind,
                         record.params,
@@ -312,7 +313,7 @@ class JobQueue:
                 else:
                     dispatch_us = 0.0
                     future = loop.run_in_executor(
-                        self._executor,
+                        executor,
                         execute_job,
                         record.kind,
                         record.params,
@@ -336,6 +337,15 @@ class JobQueue:
                     record,
                     f"timeout: exceeded {self.config.job_timeout}s "
                     f"wall-clock budget",
+                )
+            except asyncio.CancelledError:
+                # Another job's pool rebuild cancels the calls still
+                # queued in the old pool: this attempt failed as on a
+                # broken pool.  Any other cancellation is this task's own.
+                if self._stopping or self._executor is executor:
+                    raise
+                self._record_failure(
+                    record, "executor failure: call cancelled by a pool rebuild"
                 )
             except ReproError as exc:
                 self._record_failure(

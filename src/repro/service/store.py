@@ -65,7 +65,10 @@ class RunStore:
     ``updated_at``, claim eligibility ``now``, lease deadlines); it
     defaults to :func:`time.time` and is injectable so tests drive
     retry/backoff deadlines, lease expiry, and kill-restart recovery on
-    a fake clock instead of sleeping through real time.
+    a fake clock instead of sleeping through real time.  ``run_ids``
+    mints the id of every submitted run (random 12-hex-digit ids by
+    default); it is injectable so tests whose outcome depends on the id,
+    such as seeded chaos, run on fixed ids.
     """
 
     def __init__(
@@ -73,6 +76,7 @@ class RunStore:
         url: str | Path | StorageBackend,
         *,
         clock: Callable[[], float] = time.time,
+        run_ids: Callable[[], str] = lambda: uuid.uuid4().hex[:12],
     ) -> None:
         if isinstance(url, StorageBackend):
             self.backend = url
@@ -82,6 +86,7 @@ class RunStore:
         #: SQLite default means this *is* a filesystem path there).
         self.path = self.backend.url
         self._clock = clock
+        self._run_ids = run_ids
 
     # -- schema ------------------------------------------------------------
 
@@ -111,7 +116,7 @@ class RunStore:
                 f"max_attempts must be >= 1, got {max_attempts!r}",
                 code="bad-request",
             )
-        run_id = uuid.uuid4().hex[:12]
+        run_id = self._run_ids()
         now = self._clock()
         self.backend.insert(
             RunRecord(

@@ -15,12 +15,15 @@ the rectangular engine of :mod:`repro.simulation.engine`:
   from time 0, plus each group's processors once the group has started
   its last main task (permanent retirement).
 
-What this buys over the rectangular engine: **unequal chain lengths**
-(scenarios with different month counts), **any number of sequential
-satellite tasks per month** (with dependencies among them), and
-per-task sequential durations taken from the DAG rather than a single
-``TP``.  On a rectangular fused ensemble it reproduces the rectangular
-engine's makespan exactly — a cross-validation the test suite enforces.
+What this buys over the event engine of :mod:`repro.simulation.engine`:
+**any number of sequential satellite tasks per month** (with
+dependencies among them) and per-task sequential durations taken from
+the DAG rather than a single ``TP``.  Unequal chain lengths alone do not
+need it: the event engine takes a month count per scenario, and
+recovery planning runs there.  On fused chains — rectangular or of
+unequal length — the two engines agree to the last float, a
+cross-validation the test suite enforces, which makes this walk the
+differential oracle for the event engine on unequal chains.
 
 Input contract (checked eagerly, violations raise
 :class:`~repro.exceptions.SimulationError`):

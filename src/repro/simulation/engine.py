@@ -8,7 +8,11 @@ Main-task phase
     the paper's policy — "when a group becomes ready, the month of the
     less advanced simulation waiting is scheduled on this group" —
     extended deterministically to the heterogeneous group sizes produced
-    by Improvements 1 and 3.
+    by Improvements 1 and 3.  A scenario leaves the waiting set once it
+    has run its month count; the ensemble is rectangular when every
+    count is ``NM``, and recovery planning schedules the unequal
+    remaining chains of interrupted scenarios the same way
+    (:func:`_chain_schedule`).
 
 Post-task phase
     Every finished main task releases one post task.  Post tasks run on
@@ -32,7 +36,7 @@ How it runs
     ``(end, group)`` pop order.  Only the scenario choice — one
     ``heappushpop`` per completion — stays sequential.  The heap loop
     then replays the tail from the reconstructed state, or the whole
-    phase when groups outnumber scenarios or ``NS·NM`` is below the
+    phase when groups outnumber scenarios or the task count is below the
     measured crossover where numpy set-up costs more than it saves.
 
     The post phase is a heap-free two-pointer merge of the sorted initial
@@ -99,11 +103,11 @@ __all__ = ["simulate", "simulate_on_cluster"]
 #: One main dispatch: ``(start, end, group, scenario)``.
 _Dispatch = tuple[float, float, int, int]
 
-#: Below this many main tasks (``NS·NM``) the numpy set-up of
-#: :func:`_fast_forward` costs more than it saves, and the heap loop
-#: runs the whole main phase.  Measured crossover: 44–60 tasks at
-#: NS = 4, 6 and 10 on fig7 ``sagittaire`` groupings (2-vCPU VM,
-#: Python 3.11.7; see docs/PERFORMANCE.md).
+#: Below this many main tasks (``Σ months``, ``NS·NM`` when rectangular)
+#: the numpy set-up of :func:`_fast_forward` costs more than it saves,
+#: and the heap loop runs the whole main phase.  Measured crossover:
+#: 44–60 tasks at NS = 4, 6 and 10 on fig7 ``sagittaire`` groupings
+#: (2-vCPU VM, Python 3.11.7; see docs/PERFORMANCE.md).
 _FAST_FORWARD_MIN_TASKS = 56
 
 
@@ -204,7 +208,9 @@ def _simulate(
     observed = obs.enabled()
     columns = record_trace or faults is not None
     stream: list[_Dispatch] | None = [] if columns or observed else None
-    ready_times, group_last_end = _run_main_phase(spec, group_times, stream)
+    ready_times, group_last_end = _run_main_phase(
+        [spec.months] * spec.scenarios, group_times, stream
+    )
     post_ends = _run_post_phase(grouping, ready_times, group_last_end, tp)
     main_makespan = ready_times[-1] if ready_times else 0.0
     makespan = max(main_makespan, post_ends[-1] if post_ends else 0.0)
@@ -242,6 +248,36 @@ def _simulate(
         records=records,
     )
     return result, outcome
+
+
+def _chain_schedule(
+    grouping: Grouping,
+    timing: TimingModel,
+    months: list[int],
+    tp: float,
+    *,
+    columns: bool = False,
+) -> "tuple[float, _Columns | None]":
+    """Schedule fused chains of unequal length; return the makespan.
+
+    Scenario ``s`` runs ``months[s] >= 1`` months, each a main task then
+    a ``tp``-long post — the rectangular ensemble when every count is
+    equal.  The policy is the same: the least advanced waiting chain
+    goes to the fastest free group.  With ``columns`` the schedule's
+    :func:`_columns` come back too (``None`` otherwise).  Nothing is
+    observed or recorded: this is the recovery planner's evaluator.
+    """
+    if not months or min(months) < 1:
+        raise SimulationError(f"every chain needs a month, got {months!r}")
+    grouping.validate_against(timing, len(months))
+    group_times = [timing.main_time(g) for g in grouping.group_sizes]
+    stream: list[_Dispatch] | None = [] if columns else None
+    ready_times, group_last_end = _run_main_phase(months, group_times, stream)
+    post_ends = _run_post_phase(grouping, ready_times, group_last_end, tp)
+    makespan = max(ready_times[-1], post_ends[-1])
+    if stream is None:
+        return makespan, None
+    return makespan, _columns(grouping, stream, post_ends, group_last_end)
 
 
 class _Columns(NamedTuple):
@@ -414,11 +450,14 @@ def _publish_stats(
 
 
 def _run_main_phase(
-    spec: EnsembleSpec,
+    months: list[int],
     group_times: list[float],
     stream: list[_Dispatch] | None,
 ) -> tuple[list[float], list[float]]:
     """Schedule every main task; return ``(ready_times, group_last_end)``.
+
+    Scenario ``s`` runs ``months[s]`` months and leaves the waiting set
+    once that many are done.
 
     The waiting set is a heap of ``(months_done, wait_since, scenario)``
     (keys are frozen while a scenario waits, so entries never go stale),
@@ -431,7 +470,7 @@ def _run_main_phase(
     main-phase makespan.  When ``stream`` is a list, every dispatch is
     appended to it as ``(start, end, group, scenario)``.
     """
-    ns, nm = spec.scenarios, spec.months
+    ns, total = len(months), sum(months)
     months_done = [0] * ns
     # Both comprehensions produce ascending sequences — already valid heaps.
     waiting: list[tuple[int, float, int]] = [(0, 0.0, s) for s in range(ns)]
@@ -441,27 +480,27 @@ def _run_main_phase(
     running: list[tuple[float, int, int]] = []
     group_last_end = [0.0] * len(group_times)
     ready_times: list[float] = []
-    unstarted = ns * nm
+    unstarted = total
     # The fast-forward needs every group busy from t=0 and running sums
     # that grow (a positive fastest time sizes its horizon).
     if (
-        ns * nm >= _FAST_FORWARD_MIN_TASKS
+        total >= _FAST_FORWARD_MIN_TASKS
         and len(group_times) <= ns
         and idle[0][0] > 0.0
     ):
         unstarted -= _fast_forward(
-            nm, group_times, months_done, waiting, idle, running,
+            months, group_times, months_done, waiting, idle, running,
             ready_times, stream,
         )
     _replay(
-        nm, group_times, months_done, waiting, idle, running, unstarted,
+        months, group_times, months_done, waiting, idle, running, unstarted,
         group_last_end, ready_times, stream,
     )
     return ready_times, group_last_end
 
 
 def _fast_forward(
-    nm: int,
+    months: list[int],
     group_times: list[float],
     months_done: list[int],
     waiting: list[tuple[int, float, int]],
@@ -500,12 +539,13 @@ def _fast_forward(
         if stream is not None:
             stream.append((0.0, gt, group, scenario))
 
-    # At most NS·(NM-1) + 1 completions precede the first finish.  The
-    # fastest group's ``steps`` sums end at a cutoff before which the k
-    # groups complete at least that many tasks (each group's count below
-    # the cutoff is short of ``cutoff / T[g]`` by less than one, hence the
-    # ``+ k``); the slower groups' sums past the cutoff go unused.
-    need = ns * (nm - 1) + 1 + k
+    # At most Σ(months[s] - 1) + 1 completions precede the first finish.
+    # The fastest group's ``steps`` sums end at a cutoff before which the
+    # k groups complete at least that many tasks (each group's count
+    # below the cutoff is short of ``cutoff / T[g]`` by less than one,
+    # hence the ``+ k``); the slower groups' sums past the cutoff go
+    # unused.
+    need = sum(months) - ns + 1 + k
     steps = int(need / sum(gt_min / gt for gt in group_times)) + 2
     # Row g is group g's running sum; flat index = g * steps + task.
     column = np.asarray(group_times)[:, None]
@@ -522,7 +562,7 @@ def _fast_forward(
     for group, now in zip(groups, times):
         scenario = current[group]
         done = months_done[scenario] + 1
-        if done == nm:
+        if done == months[scenario]:
             break
         months_done[scenario] = done
         scenario = pushpop(waiting, (done, now, scenario))[2]
@@ -544,7 +584,7 @@ def _fast_forward(
 
 
 def _replay(
-    nm: int,
+    months: list[int],
     group_times: list[float],
     months_done: list[int],
     waiting: list[tuple[int, float, int]],
@@ -578,7 +618,7 @@ def _replay(
         months_done[scenario] = done
         group_last_end[group] = now
         ready_times.append(now)
-        if done < nm:
+        if done < months[scenario]:
             push(waiting, (done, now, scenario))
         push(idle, (group_times[group], group))
 

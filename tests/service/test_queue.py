@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import asyncio
 import random
+import time
+from concurrent.futures import Executor, Future
 
 import pytest
 
@@ -170,3 +172,27 @@ class TestDispatch:
             assert "running" not in states
             assert states.count("done") >= 1
             assert states.count("queued") >= 1
+
+    def test_call_cancelled_by_a_pool_rebuild_is_retried(self, tmp_path) -> None:
+        # Rebuilding the pool for one job (timeout, crash) cancels the
+        # calls still queued in the old pool.  The cancelled job must be
+        # retried, not left 'running' with the queue waiting forever.
+        with RunStore(tmp_path / "runs.db") as store:
+            run_id = store.submit("sleep", {"seconds": 0}, max_attempts=2)
+            queue = JobQueue(store, _fast_config())
+
+            class RebuiltUnderfoot(Executor):
+                def submit(self, fn, /, *args, **kwargs):
+                    queue._executor = Executor()  # another job's rebuild
+                    cancelled: Future = Future()
+                    cancelled.cancel()
+                    return cancelled
+
+            async def scenario() -> None:
+                queue._executor = RebuiltUnderfoot()
+                await queue._run_job(store.claim_next(time.time()))
+
+            asyncio.run(scenario())
+            record = store.get(run_id)
+            assert record.state == "queued"
+            assert "pool rebuild" in record.error
